@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .freegroup import whitehead_moves_second_kind
+from .freegroup import Word, whitehead_moves_second_kind
 
 U64 = np.uint64
 
@@ -40,6 +40,16 @@ def nib_of_letter(v: int) -> int:
 
 def letter_of_nib(nib: int) -> int:
     return (nib // 2 + 1) * (-1 if nib % 2 else 1)
+
+
+# letter of every uint8 nibble, so a block of rows decodes in one lookup
+_LETTER_OF_NIB = np.array([letter_of_nib(c) for c in range(256)], dtype=np.int64)
+
+
+def decode_rows(W: np.ndarray, n: int) -> list[Word]:
+    """The rank-n words spelled by the (N, l) nibble rows of W, such as a
+    block from unpack_keys."""
+    return [Word(tuple(r), n, _checked=True) for r in _LETTER_OF_NIB[W].tolist()]
 
 
 def pack_rows(rows: np.ndarray, b: int) -> np.ndarray:

@@ -3,11 +3,14 @@
 Every artifact (JSON or CSV) embeds a run manifest: subcommand, flags, seed,
 package version, and timestamps.  All stochastic outputs are fully
 determined by --seed; rerunning with the same flags reproduces them
-bit-for-bit apart from the timestamps.
+bit-for-bit apart from the timestamps, unless a --budget-time cap fires:
+where the wall clock stops a search, the result depends on machine load
+(density reports record this as "truncated").
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -60,6 +63,18 @@ def _manifest_line(manifest: RunManifest) -> str:
     return "manifest: " + jsonio.dumps(manifest.finish())
 
 
+def _errors_exit_2(command):
+    """Turn any exception in a subcommand into 'error: ...' and exit code 2."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except Exception as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(2)
+    return run
+
+
 def _load_rep(path: str) -> sl2.Representation:
     with open(path) as f:
         obj = jsonio.loads(f.read())
@@ -76,18 +91,15 @@ def main():
 @click.argument("word_text")
 @click.option("--rank", type=int, required=True, help="Free-group rank n >= 2.")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
+@_errors_exit_2
 def primitive_cmd(word_text: str, rank: int, out: str | None):
     """Decide primitivity of WORD (token syntax: 'x1 x2^-1').
 
     Exit code 0: primitive; 1: not primitive; 2: error.
     """
     manifest = RunManifest("primitive", {"word": word_text, "rank": rank}, None)
-    try:
-        w = parse_word(word_text, rank)
-        verdict = whitehead_mod.decide_primitive(w)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    w = parse_word(word_text, rank)
+    verdict = whitehead_mod.decide_primitive(w)
     obj = {
         "word": word_text,
         "rank": rank,
@@ -103,15 +115,12 @@ def primitive_cmd(word_text: str, rank: int, out: str | None):
 @click.argument("words", nargs=-1)
 @click.option("--rank", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None, help="Write DOT here.")
+@_errors_exit_2
 def whgraph_cmd(words: tuple[str, ...], rank: int, out: str | None):
     """Whitehead graph of WORDS: DOT plus a connectivity/cutpoint summary."""
     manifest = RunManifest("whgraph", {"words": list(words), "rank": rank}, None)
-    try:
-        ws = [parse_word(t, rank) for t in words]
-        g = whitehead_mod.build_graph(ws, rank)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    ws = [parse_word(t, rank) for t in words]
+    g = whitehead_mod.build_graph(ws, rank)
     dot = whitehead_mod.to_dot(g)
     cut = sorted(whitehead_mod.cutpoints(g))
     summary = ("connected" if whitehead_mod.is_connected(g) else "disconnected") + \
@@ -140,6 +149,7 @@ def density_group():
 @click.option("--budget-candidates", type=int, default=2000)
 @click.option("--budget-time", type=float, default=60.0)
 @click.option("--out", type=click.Path(), default=None)
+@_errors_exit_2
 def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
                         budget_time, out):
     """Certify density of the subgroup generated by the tuple.
@@ -150,13 +160,9 @@ def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
                            {"rep": rep_path, "budget_word_length": budget_word_length,
                             "budget_candidates": budget_candidates,
                             "budget_time": budget_time}, seed)
-    try:
-        rep = _load_rep(rep_path)
-        budget = density_mod.SearchBudget(budget_word_length, budget_candidates, budget_time)
-        verdict = density_mod.certify_dense(list(rep.images), budget, seed)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    rep = _load_rep(rep_path)
+    budget = density_mod.SearchBudget(budget_word_length, budget_candidates, budget_time)
+    verdict = density_mod.certify_dense(list(rep.images), budget, seed)
     obj = {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -169,20 +175,17 @@ def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
 
 @density_group.command("replay")
 @click.argument("cert_path", type=click.Path(exists=True))
+@_errors_exit_2
 def density_replay_cmd(cert_path):
     """Re-verify a certificate file independently of the run that made it.
 
     Exit code 0 iff the certificate verifies.
     """
-    try:
-        with open(cert_path) as f:
-            obj = jsonio.loads(f.read())
-        cert_obj = obj.get("certificate", obj)
-        cert = density_mod.DensityCertificate.from_obj(cert_obj)
-        ok = density_mod.replay_certificate(cert)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    with open(cert_path) as f:
+        obj = jsonio.loads(f.read())
+    cert_obj = obj.get("certificate", obj)
+    cert = density_mod.DensityCertificate.from_obj(cert_obj)
+    ok = density_mod.replay_certificate(cert)
     click.echo("certificate verifies" if ok else "certificate FAILS")
     sys.exit(0 if ok else 1)
 
@@ -198,6 +201,7 @@ def density_replay_cmd(cert_path):
 @click.option("--rep", "rep_path", type=click.Path(exists=True), default=None,
               help="Start tuple (JSON); default is seeded random.")
 @click.option("--out", type=click.Path(), default=None, help="Write trace CSV here.")
+@_errors_exit_2
 def walk_cmd(group, rank, steps, seed, stride, move_set, guard, rep_path, out):
     """Product-replacement random walk; records generator and pair traces.
 
@@ -207,18 +211,14 @@ def walk_cmd(group, rank, steps, seed, stride, move_set, guard, rep_path, out):
     manifest = RunManifest("walk", {"group": group, "n": rank, "steps": steps,
                                     "stride": stride, "move_set": move_set,
                                     "guard": guard, "rep": rep_path}, seed)
-    try:
-        if rep_path:
-            rep = _load_rep(rep_path)
-        else:
-            rng = np.random.default_rng(seed)
-            rep = sl2.Representation([sl2.random_element(rng, group) for _ in range(rank)])
-        cfg = dynamics_mod.WalkConfig(steps=steps, seed=seed, move_set=move_set,
-                                      record_stride=stride, overflow_guard=guard)
-        run = dynamics_mod.random_walk(rep, cfg)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    if rep_path:
+        rep = _load_rep(rep_path)
+    else:
+        rng = np.random.default_rng(seed)
+        rep = sl2.Representation([sl2.random_element(rng, group) for _ in range(rank)])
+    cfg = dynamics_mod.WalkConfig(steps=steps, seed=seed, move_set=move_set,
+                                  record_stride=stride, overflow_guard=guard)
+    run = dynamics_mod.random_walk(rep, cfg)
     if out:
         dynamics_mod.walk_to_csv(run, out, _manifest_line(manifest))
     click.echo(f"samples={len(run.samples)} restarts={len(run.restarts)}")
@@ -240,6 +240,7 @@ def walk_cmd(group, rank, steps, seed, stride, move_set, guard, rep_path, out):
 @click.option("--budget-candidates", type=int, default=4000)
 @click.option("--budget-time", type=float, default=120.0)
 @click.option("--out", type=click.Path(), default=None)
+@_errors_exit_2
 def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
               budget_candidates, budget_time, out):
     """Steer one representation tuple toward another by an automorphism.
@@ -252,17 +253,10 @@ def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
                                      "budget_word_length": budget_word_length,
                                      "budget_candidates": budget_candidates,
                                      "budget_time": budget_time}, seed)
-    try:
-        phi = _load_rep(phi_path)
-        psi = _load_rep(psi_path)
-        budget = density_mod.SearchBudget(budget_word_length, budget_candidates, budget_time)
-        result = dynamics_mod.steer(phi, psi, epsilon, budget, seed)
-    except dynamics_mod.SteerStageError as e:
-        click.echo(f"stage error: {e}", err=True)
-        sys.exit(2)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    phi = _load_rep(phi_path)
+    psi = _load_rep(psi_path)
+    budget = density_mod.SearchBudget(budget_word_length, budget_candidates, budget_time)
+    result = dynamics_mod.steer(phi, psi, epsilon, budget, seed)
     obj = result.to_obj()
     obj["epsilon"] = epsilon
     _emit(obj, manifest, out)
@@ -284,18 +278,15 @@ def nonmixing_group():
 @click.option("--out", type=click.Path(), default=None, help="Summary JSON.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Per-class CSV rows.")
+@_errors_exit_2
 def nonmixing_demo_cmd(length_cap, k_const, window, m_opt, no_axis_check, out, csv_path):
     """Run the full pipeline and print the min-ratio summary line."""
     manifest = RunManifest("nonmixing demo",
                            {"length_cap": length_cap, "K": k_const, "window": window,
                             "m": m_opt, "axis_check": not no_axis_check}, None)
-    try:
-        report, pair, m = nonmixing_mod.demo_pipeline(
-            length_cap, K=k_const, window=window, axis_check=not no_axis_check,
-            m=m_opt)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    report, pair, m = nonmixing_mod.demo_pipeline(
+        length_cap, K=k_const, window=window, axis_check=not no_axis_check,
+        m=m_opt)
     obj = report.to_obj()
     obj["twist_exponent"] = m
     _emit(obj, manifest, out)
@@ -322,6 +313,7 @@ def ps2_group():
 @click.option("--no-axis-check", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
+@_errors_exit_2
 def ps2_probe_cmd(rho1_path, rho2_path, length_cap, k_const, window,
                   no_axis_check, out, csv_path):
     """Translation-length ratios and axis checks over all primitive classes."""
@@ -329,14 +321,10 @@ def ps2_probe_cmd(rho1_path, rho2_path, length_cap, k_const, window,
                            {"rho1": rho1_path, "rho2": rho2_path,
                             "length_cap": length_cap, "K": k_const,
                             "window": window, "axis_check": not no_axis_check}, None)
-    try:
-        rho1 = _load_rep(rho1_path)
-        rho2 = _load_rep(rho2_path)
-        report = nonmixing_mod.ps2_probe(rho1, rho2, length_cap, K=k_const,
-                                         window=window, axis_check=not no_axis_check)
-    except Exception as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    rho1 = _load_rep(rho1_path)
+    rho2 = _load_rep(rho2_path)
+    report = nonmixing_mod.ps2_probe(rho1, rho2, length_cap, K=k_const,
+                                     window=window, axis_check=not no_axis_check)
     _emit(report.to_obj(), manifest, out)
     if csv_path:
         report.write_csv(csv_path, report.rank, _manifest_line(manifest))

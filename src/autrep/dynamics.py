@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import stats
 
+from . import _engine
 from .density import DensityVerdict, SearchBudget, certify_dense, opnorm
 from .freegroup import (
     FreeAutomorphism,
@@ -38,6 +39,7 @@ from .sl2 import (
     Tolerances,
     act,
     evaluate,
+    generator_table,
 )
 
 
@@ -274,17 +276,10 @@ def _sphere_levels(table: np.ndarray, k: int, max_level: int, cap: int,
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     mats_levels: list[np.ndarray] = []
     mats = np.eye(2, dtype=table.dtype)[None]
-    last = np.full(1, -1, dtype=np.int16)
-    inverse_nib = np.arange(2 * k, dtype=np.int16) ^ 1
     seen = np.sort(quat_keys(mats))
     total = 1
     for _ in range(max_level):
-        B = mats.shape[0]
-        child = np.einsum("bij,ljk->blik", mats, table).reshape(B * 2 * k, 2, 2)
-        child_nib = np.tile(np.arange(2 * k, dtype=np.int16), B)
-        parent = np.repeat(np.arange(B, dtype=np.int64), 2 * k)
-        valid = last[parent] != inverse_nib[child_nib]
-        child, child_nib, parent = child[valid], child_nib[valid], parent[valid]
+        child, child_nib, parent = _expand_level(mats, levels, table)
         if child.shape[0] == 0:
             break
         keys = quat_keys(child)
@@ -297,22 +292,36 @@ def _sphere_levels(table: np.ndarray, k: int, max_level: int, cap: int,
         levels.append((child_nib, parent))
         mats_levels.append(child)
         seen = np.union1d(seen, keys[fresh])
-        mats, last = child, child_nib
+        mats = child
         total += child.shape[0]
         if total >= cap:
             break
     return levels, mats_levels
 
 
+def _expand_level(mats: np.ndarray, levels: list, table: np.ndarray):
+    """Children of the newest word-sphere level, whose matrices are mats and
+    whose (nibbles, parents) are levels[-1] (no levels: the empty word):
+    mats[b] @ table[c] for every nibble c that does not cancel the parent's
+    last nibble.  Returns (child matrices, child nibbles, parent indices)."""
+    last = levels[-1][0] if levels else np.full(1, -1, dtype=np.int16)
+    B, k2 = mats.shape[0], table.shape[0]
+    child = np.einsum("bij,ljk->blik", mats, table).reshape(B * k2, 2, 2)
+    child_nib = np.tile(np.arange(k2, dtype=np.int16), B)
+    parent = np.repeat(np.arange(B, dtype=np.int64), k2)
+    valid = last[parent] != child_nib ^ 1
+    return child[valid], child_nib[valid], parent[valid]
+
+
 def _backtrack(levels, level: int, index: int) -> tuple[int, ...]:
-    letters_rev = []
-    idx = index
+    """Letters of the word at levels[level][index] via parent pointers;
+    level -1 is the empty word."""
+    nibs_rev = []
     for lev in range(level, -1, -1):
         nibs, parents = levels[lev]
-        c = int(nibs[idx])
-        letters_rev.append((c // 2 + 1) * (-1 if c % 2 else 1))
-        idx = int(parents[idx])
-    return tuple(reversed(letters_rev))
+        nibs_rev.append(int(nibs[index]))
+        index = int(parents[index])
+    return tuple(_engine.letter_of_nib(c) for c in reversed(nibs_rev))
 
 
 def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
@@ -324,10 +333,7 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     from scipy.spatial import cKDTree
 
     k = len(S)
-    table = np.empty((2 * k, 2, 2), dtype=np.complex128)
-    for i, g in enumerate(S):
-        table[2 * i] = g.m
-        table[2 * i + 1] = g.inverse().m
+    table = generator_table(S)
     half = max(budget.max_word_length // 2, 1)
     cap = max(2 * k + 1, min(budget.max_candidates, 200_000))
     # cell size scaled to the tolerance: coarse cells merge the clusters
@@ -335,11 +341,14 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     # breadth-first growth run deep instead of saturating the budget
     resolution = max(epsilon / 8.0, 1e-5)
     levels, mats_levels = _sphere_levels(table, k, half, cap, resolution)
-    pts = [np.eye(2, dtype=np.complex128)[None]] + mats_levels
-    all_mats = np.concatenate(pts)
-    where = [(-1, 0)]  # level -1 = the empty word
-    for lev, m in enumerate(mats_levels):
-        where.extend((lev, i) for i in range(m.shape[0]))
+    all_mats = np.concatenate([np.eye(2, dtype=np.complex128)[None]] + mats_levels)
+    # level j occupies all_mats[starts[j]:starts[j + 1]]; index 0 is the empty word
+    starts = np.cumsum([1] + [m.shape[0] for m in mats_levels])
+
+    def word_at(i: int) -> tuple[int, ...]:
+        lev = int(np.searchsorted(starts, i, side="right")) - 1
+        return _backtrack(levels, lev, i - int(starts[lev]))
+
     quats = _su2_quat(all_mats)
     tree = cKDTree(quats)
     tm = target.m.astype(np.complex128)
@@ -348,11 +357,7 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     dists, idxs = tree.query(_su2_quat(ut), k=1)
     best_u = int(np.argmin(dists))
     best_v = int(idxs[best_u])
-    u_lev, u_idx = where[best_u]
-    v_lev, v_idx = where[best_v]
-    u_word = _backtrack(levels, u_lev, u_idx) if u_lev >= 0 else ()
-    v_word = _backtrack(levels, v_lev, v_idx) if v_lev >= 0 else ()
-    word = Word(u_word + v_word, k)
+    word = Word(word_at(best_u) + word_at(best_v), k)
     claimed = opnorm(all_mats[best_u] @ all_mats[best_v] - tm)
     return ApproxResult(word, claimed, claimed < epsilon, quats.shape[0] ** 2)
 
@@ -397,17 +402,10 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
         return ApproxResult(Word.identity(k), d0, True, 0)
     if S[0].field == "su2":
         return _approximate_su2_meet(S, target, epsilon, budget)
-    table = np.empty((2 * k, 2, 2), dtype=S[0].m.dtype)
-    for i, g in enumerate(S):
-        table[2 * i] = g.m
-        table[2 * i + 1] = g.inverse().m
-    # nibble c encodes letter: generator c//2+1, inverse if c odd
-    inverse_nib = np.arange(2 * k, dtype=np.int16) ^ 1
-
+    table = generator_table(S)
     exhaust_cap = max(beam_width, min(budget.max_candidates, 2_000_000))
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (last_nib, parent) per level
     mats = np.eye(2, dtype=table.dtype)[None]
-    last = np.full(1, -1, dtype=np.int16)
     best_dist = d0
     best_level = -1
     best_index = 0
@@ -415,14 +413,7 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
 
     t0 = time.monotonic()
     for _ in range(budget.max_word_length):
-        B = mats.shape[0]
-        child = np.einsum("bij,ljk->blik", mats, table).reshape(B * 2 * k, 2, 2)
-        child_nib = np.tile(np.arange(2 * k, dtype=np.int16), B)
-        parent = np.repeat(np.arange(B, dtype=np.int64), 2 * k)
-        valid = last[parent] != inverse_nib[child_nib]
-        child = child[valid]
-        child_nib = child_nib[valid]
-        parent = parent[valid]
+        child, child_nib, parent = _expand_level(mats, levels, table)
         if child.shape[0] == 0:
             break
         dists = _opnorms(child - tm)
@@ -439,7 +430,6 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
         if child.shape[0] <= exhaust_cap:
             levels.append((child_nib, parent))
             mats = child
-            last = child_nib
             continue
         # prune: nearest beam_width after matrix dedup at coarse resolution
         order = np.argsort(dists, kind="stable")
@@ -453,18 +443,9 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
             # the nearest candidate always survives pruning; track its new slot
             best_index = int(np.nonzero(keep == best_index)[0][0])
         mats = child[keep]
-        last = child_nib[keep]
     if best_level < 0:
         return ApproxResult(Word.identity(k), d0, False, examined)
-    # backtrack the winning word through the stored levels
-    letters_rev = []
-    idx = best_index
-    for lev in range(best_level, -1, -1):
-        nibs, parents = levels[lev]
-        c = int(nibs[idx])
-        letters_rev.append((c // 2 + 1) * (-1 if c % 2 else 1))
-        idx = int(parents[idx])
-    word = Word(tuple(reversed(letters_rev)), k, _checked=True)
+    word = Word(_backtrack(levels, best_level, best_index), k, _checked=True)
     return ApproxResult(word, best_dist, best_dist < epsilon, examined)
 
 

@@ -228,10 +228,6 @@ def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:
     return FreeAutomorphism(images, inverse_images)
 
 
-def _aut_from_images(images: Sequence[Word], inverse_images: Sequence[Word]) -> FreeAutomorphism:
-    return FreeAutomorphism(images, inverse_images, _checked=True)
-
-
 def nielsen_generators(n: int) -> list[FreeAutomorphism]:
     """The standard finite generating set of Aut(F_n): transpositions,
     single-generator inversions, and the four one-sided multiplications
@@ -250,10 +246,10 @@ def nielsen_generators(n: int) -> list[FreeAutomorphism]:
     for i, j in itertools.combinations(range(1, n + 1), 2):
         imgs = list(gens)
         imgs[i - 1], imgs[j - 1] = gens[j - 1], gens[i - 1]
-        out.append(_aut_from_images(tuple(imgs), tuple(imgs)))
+        out.append(FreeAutomorphism(tuple(imgs), tuple(imgs), _checked=True))
     for i in range(1, n + 1):
         imgs = replace(gens, i, Word((-i,), n, _checked=True))
-        out.append(_aut_from_images(imgs, imgs))
+        out.append(FreeAutomorphism(imgs, imgs, _checked=True))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -262,11 +258,11 @@ def nielsen_generators(n: int) -> list[FreeAutomorphism]:
                 # x_i -> x_i x_j^s ; inverse: x_i -> x_i x_j^-s
                 fwd = replace(gens, i, Word((i, s * j), n, _checked=True))
                 bwd = replace(gens, i, Word((i, -s * j), n, _checked=True))
-                out.append(_aut_from_images(fwd, bwd))
+                out.append(FreeAutomorphism(fwd, bwd, _checked=True))
                 # x_i -> x_j^s x_i ; inverse: x_i -> x_j^-s x_i
                 fwd = replace(gens, i, Word((s * j, i), n, _checked=True))
                 bwd = replace(gens, i, Word((-s * j, i), n, _checked=True))
-                out.append(_aut_from_images(fwd, bwd))
+                out.append(FreeAutomorphism(fwd, bwd, _checked=True))
     return out
 
 
@@ -279,7 +275,7 @@ def signed_permutations(n: int) -> list[FreeAutomorphism]:
             inv_images: list[Word] = [None] * n  # type: ignore[list-item]
             for i in range(n):
                 inv_images[perm[i] - 1] = Word((signs[i] * (i + 1),), n, _checked=True)
-            out.append(_aut_from_images(images, tuple(inv_images)))
+            out.append(FreeAutomorphism(images, tuple(inv_images), _checked=True))
     return out
 
 

@@ -1,51 +1,16 @@
-"""Deterministic JSON with 17-significant-digit floats (exact round-trip)."""
+"""Deterministic JSON; floats use Python's shortest exact round-trip repr."""
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float in JSON output")
-    s = f"{x:.17g}"
-    return s
-
-
 def dumps(obj: Any, indent: int | None = None) -> str:
-    """json.dumps with every float rendered as %.17g."""
-
-    def render(o: Any, depth: int) -> str:
-        pad = "" if indent is None else "\n" + " " * (indent * depth)
-        pad_close = "" if indent is None else "\n" + " " * (indent * (depth - 1))
-        sep = "," if indent is None else ","
-        if isinstance(o, bool) or o is None:
-            return json.dumps(o)
-        if isinstance(o, float):
-            return _fmt_float(o)
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            items = [pad + render(v, depth + 1) for v in o]
-            return "[" + sep.join(items) + pad_close + "]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = []
-            for k, v in o.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"JSON object keys must be strings, got {k!r}")
-                items.append(pad + json.dumps(k) + (": " if indent else ":") + render(v, depth + 1))
-            return "{" + sep.join(items) + pad_close + "}"
-        raise TypeError(f"not JSON-serializable: {type(o)}")
-
-    return render(obj, 1)
+    """json.dumps that raises ValueError on NaN and infinities; compact
+    separators when indent is None."""
+    return json.dumps(obj, indent=indent, allow_nan=False,
+                      separators=(",", ":") if indent is None else None)
 
 
 def loads(text: str) -> Any:

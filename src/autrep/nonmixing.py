@@ -32,7 +32,7 @@ from .freegroup import (
     cyclic_reduce,
     format_word,
 )
-from .sl2 import DEFAULT_TOL, GroupElement, Representation, Tolerances
+from .sl2 import DEFAULT_TOL, GroupElement, Representation, Tolerances, generator_table
 from .whitehead import WhiteheadGraph, build_graph, cutpoints, is_connected, union
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -332,6 +332,9 @@ class PS2Report:
 
     def write_csv(self, path: str, n: int, manifest_line: str | None = None) -> None:
         b = _engine.bits_per_letter(n)
+        # decode blocks of one length; 40,000 rows at most bounds the words held
+        cuts = (np.flatnonzero(np.diff(self.col_length)) + 1).tolist()
+        bounds = sorted({*cuts, *range(0, self.total_classes, 40_000), self.total_classes})
         with open(path, "w") as f:
             if manifest_line is not None:
                 f.write(f"# {manifest_line}\n")
@@ -339,15 +342,16 @@ class PS2Report:
                     "K_fit_1,K_fit_2\n")
             r1, r2 = self.ratios()
             mx = np.maximum(r1, r2)
-            for i in range(self.total_classes):
-                l = int(self.col_length[i])
-                letters = _engine.unpack_keys(self.col_keys[i:i + 1], l, b)[0]
-                text = format_word(Word(tuple(_engine.letter_of_nib(int(x))
-                                               for x in letters), n, _checked=True))
-                f.write(f"{text},{l},{self.col_l1[i]:.17g},{self.col_l2[i]:.17g},"
-                        f"{r1[i]:.17g},{r2[i]:.17g},{mx[i]:.17g},"
-                        f"{int(self.col_axis1[i])},{int(self.col_axis2[i])},"
-                        f"{self.col_kfit1[i]:.6g},{self.col_kfit2[i]:.6g}\n")
+            for lo, hi in zip(bounds, bounds[1:]):
+                l = int(self.col_length[lo])
+                words = _engine.decode_rows(
+                    _engine.unpack_keys(self.col_keys[lo:hi], l, b), n)
+                for i, w in enumerate(words, lo):
+                    f.write(f"{format_word(w)},{l},"
+                            f"{self.col_l1[i]:.17g},{self.col_l2[i]:.17g},"
+                            f"{r1[i]:.17g},{r2[i]:.17g},{mx[i]:.17g},"
+                            f"{int(self.col_axis1[i])},{int(self.col_axis2[i])},"
+                            f"{self.col_kfit1[i]:.6g},{self.col_kfit2[i]:.6g}\n")
 
     def check_ratio_axis_consistency(self) -> int:
         """Count records where an axis check passed but the translation
@@ -361,20 +365,25 @@ class PS2Report:
         return bad1 + bad2
 
 
+def _scaled_step(P: np.ndarray, E: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """One step of a scaled product mant * 2^E: multiply the mantissas by G,
+    then move the power of two of each entry maximum into E (in place).
+    Returns the new mantissas, whose entries stay near unit scale."""
+    P = np.einsum("nij,njk->nik", P, G)
+    _, ex = np.frexp(np.abs(P).max(axis=(1, 2)))
+    E += ex
+    return P * np.exp2(-ex.astype(float))[:, None, None]
+
+
 def _scaled_word_products(W: np.ndarray, table: np.ndarray):
     """Scaled products of table matrices along rows of W: returns (mant, exp)
-    with true matrix = mant * 2^exp and mantissa entries kept near unit
-    scale, so arbitrarily long products never overflow."""
+    with true matrix = mant * 2^exp, so arbitrarily long products never
+    overflow."""
     N, l = W.shape
     P = np.broadcast_to(np.eye(2, dtype=table.dtype), (N, 2, 2)).copy()
     E = np.zeros(N, dtype=np.int64)
     for j in range(l):
-        G = table[W[:, j]]
-        P = np.einsum("nij,njk->nik", P, G)
-        amax = np.abs(P).max(axis=(1, 2))
-        _, ex = np.frexp(amax)
-        P = P * np.exp2(-ex.astype(float))[:, None, None]
-        E += ex
+        P = _scaled_step(P, E, table[W[:, j]])
     return P, E
 
 
@@ -417,12 +426,7 @@ def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
         P = np.broadcast_to(np.eye(2, dtype=table.dtype), (N, 2, 2)).copy()
         E = np.zeros(N, dtype=np.int64)
         for t in range(s + 1, T + 1):
-            G = table[W[:, (t - 1) % l]]
-            P = np.einsum("nij,njk->nik", P, G)
-            amax = np.abs(P).max(axis=(1, 2))
-            _, ex = np.frexp(amax)
-            P = P * np.exp2(-ex.astype(float))[:, None, None]
-            E += ex
+            P = _scaled_step(P, E, table[W[:, (t - 1) % l]])
             f2 = (np.abs(P) ** 2).sum(axis=(1, 2))
             logX = np.log(np.maximum(f2 / 2.0, 1e-300)) + E * (2.0 * _LN2)
             d = np.where(logX < 30.0,
@@ -445,20 +449,17 @@ def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
     otherwise by the tolerance bands.  Mutates lengths in place."""
     a = np.abs(tr_mant) * np.exp2(np.clip(exp, None, 64).astype(float))
     suspects = np.nonzero((exp <= 8) & (np.abs(a - 2.0) < 1e-3))[0]
-    for i in suspects:
-        letters = [_engine.letter_of_nib(int(x)) for x in W[i]]
-        if int_mats is not None:
-            m = int_evaluate(int_mats, letters)
-            t = m[0][0] + m[1][1]
-            if abs(t) <= 2:
-                lengths[i] = 0.0
-            else:
-                half = abs(t) / 2.0
-                lengths[i] = 2.0 * math.log(half + math.sqrt(half * half - 1.0))
+    if int_mats is None:
+        lengths[suspects[a[suspects] <= 2.0 + tol.tol_par]] = 0.0
+        return
+    for i, w in zip(suspects, _engine.decode_rows(W[suspects], len(int_mats))):
+        m = int_evaluate(int_mats, w.letters)
+        t = m[0][0] + m[1][1]
+        if abs(t) <= 2:
+            lengths[i] = 0.0
         else:
-            t = float(a[i])
-            if t <= 2.0 + tol.tol_par:
-                lengths[i] = 0.0
+            half = abs(t) / 2.0
+            lengths[i] = 2.0 * math.log(half + math.sqrt(half * half - 1.0))
 
 
 def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
@@ -477,16 +478,7 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     n = rho1.rank
     eng = _engine.PackedEngine(n)
     keys = eng.primitive_class_keys(length_cap)
-    dt = np.complex128 if rho1.field != "real" else np.float64
-
-    def mat_table(rep: Representation) -> np.ndarray:
-        t = np.empty((2 * n, 2, 2), dtype=dt)
-        for i, g in enumerate(rep.images):
-            t[2 * i] = g.m
-            t[2 * i + 1] = g.inverse().m
-        return t
-
-    tables = (mat_table(rho1), mat_table(rho2))
+    tables = (generator_table(rho1.images), generator_table(rho2.images))
     ints = int_images if int_images is not None else (None, None)
 
     cols: dict[str, list[np.ndarray]] = {k: [] for k in
@@ -498,26 +490,23 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
             ks = arr[lo:lo + chunk]
             W = _engine.unpack_keys(ks, l, eng.b)
             N = W.shape[0]
-            per_rep = []
-            for ri in range(2):
-                P, E = _scaled_word_products(W, tables[ri])
+            cols["length"].append(np.full(N, l, dtype=np.int32))
+            cols["keys"].append(ks)
+            for slot, table, int_mats in zip("12", tables, ints):
+                P, E = _scaled_word_products(W, table)
                 trm = P[:, 0, 0] + P[:, 1, 1]
                 lengths = _lengths_from_scaled_traces(np.abs(trm), E, tol)
-                _near_parabolic_recheck(lengths, trm, E, W, ints[ri], tol)
+                _near_parabolic_recheck(lengths, trm, E, W, int_mats, tol)
+                if not np.isfinite(lengths).all():
+                    raise ValueError(f"non-finite translation length at length {l}")
                 if axis_check:
-                    ok, kf = _axis_checks(W, tables[ri], window, K)
+                    ok, kf = _axis_checks(W, table, window, K)
                 else:
                     ok = np.zeros(N, dtype=bool)
                     kf = np.zeros(N, dtype=float)
-                per_rep.append((lengths, ok, kf))
-            cols["length"].append(np.full(N, l, dtype=np.int32))
-            cols["keys"].append(ks)
-            cols["l1"].append(per_rep[0][0])
-            cols["l2"].append(per_rep[1][0])
-            cols["axis1"].append(per_rep[0][1])
-            cols["axis2"].append(per_rep[1][1])
-            cols["kfit1"].append(per_rep[0][2])
-            cols["kfit2"].append(per_rep[1][2])
+                cols["l" + slot].append(lengths)
+                cols["axis" + slot].append(ok)
+                cols["kfit" + slot].append(kf)
 
     col = {k: np.concatenate(v) for k, v in cols.items()}
     total = int(col["length"].shape[0])
@@ -529,9 +518,8 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
 
     def word_text(i: int) -> str:
         l = int(col["length"][i])
-        letters = _engine.unpack_keys(col["keys"][i:i + 1], l, eng.b)[0]
-        return format_word(Word(tuple(_engine.letter_of_nib(int(x)) for x in letters),
-                                n, _checked=True))
+        W = _engine.unpack_keys(col["keys"][i:i + 1], l, eng.b)
+        return format_word(_engine.decode_rows(W, n)[0])
 
     zeros1 = np.nonzero(col["l1"] == 0.0)[0]
     zeros2 = np.nonzero(col["l2"] == 0.0)[0]

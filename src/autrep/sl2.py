@@ -58,7 +58,10 @@ class GroupElement:
         arr = np.array(m, dtype=_dtype_for(field))
         if arr.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        scale = max(1.0, float(np.abs(arr).max()) ** 2)
+        top = float(np.abs(arr).max())  # max propagates NaN
+        if not math.isfinite(top):
+            raise ValueError("matrix entries must be finite")
+        scale = max(1.0, top ** 2)
         det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
         if abs(det - 1.0) > tol.tol_det * scale:
             raise DetDriftError(f"determinant {det} drifted beyond tolerance")
@@ -247,6 +250,16 @@ class Representation:
         return f"Representation(rank={self.rank}, field={self.field!r})"
 
 
+def generator_table(elements: Sequence[GroupElement]) -> np.ndarray:
+    """(2k, 2, 2) matrices of k generators and their inverses, indexed like
+    the packed engine's nibbles: c is generator c//2+1, inverted when c is odd."""
+    table = np.empty((2 * len(elements), 2, 2), dtype=_dtype_for(elements[0].field))
+    for i, g in enumerate(elements):
+        table[2 * i] = g.m
+        table[2 * i + 1] = g.inverse().m
+    return table
+
+
 def evaluate(rep: Representation, w: Word) -> GroupElement:
     """Product of generator images along the word."""
     if w.rank != rep.rank:
@@ -354,20 +367,12 @@ def _entry_from_json(e, field: Field):
 
 
 def rep_to_obj(rep: Representation) -> dict:
-    return {
-        "field": rep.field,
-        "rank": rep.rank,
-        "images": [[[_entry_to_json(g.m[i, j], rep.field) for j in (0, 1)]
-                    for i in (0, 1)] for g in rep.images],
-    }
+    return {"field": rep.field, "rank": rep.rank,
+            "images": elements_to_obj(rep.images, rep.field)}
 
 
 def rep_from_obj(obj: dict) -> Representation:
-    field = obj["field"]
-    images = [GroupElement(np.array(
-        [[_entry_from_json(row[0], field), _entry_from_json(row[1], field)]
-         for row in mat]), field) for mat in obj["images"]]
-    rep = Representation(images)
+    rep = Representation(elements_from_obj(obj["images"], obj["field"]))
     if rep.rank != obj["rank"]:
         raise ValueError("rank field disagrees with image count")
     return rep

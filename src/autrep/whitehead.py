@@ -242,7 +242,7 @@ def primitive_class_keys(n: int, length_cap: int) -> dict[int, np.ndarray]:
 
 def iter_primitive_class_letters(n: int, length_cap: int, chunk: int = 100_000):
     """Yield (length, letters_array) chunks covering every primitive class;
-    rows are nibble-encoded letters (use _engine.letter_of_nib to decode)."""
+    rows are nibble-encoded letters (_engine.decode_rows decodes them)."""
     eng = _engine.PackedEngine(n)
     keys = eng.primitive_class_keys(length_cap)
     for l in sorted(keys):
@@ -261,10 +261,8 @@ def enumerate_primitive_classes(n: int, length_cap: int) -> set[ConjClass]:
     (use the streaming/count variants for multi-million-class sweeps).
     """
     out: set[ConjClass] = set()
-    for l, W in iter_primitive_class_letters(n, length_cap):
-        for row in W:
-            letters = tuple(_engine.letter_of_nib(int(x)) for x in row)
-            out.add(ConjClass(Word(letters, n, _checked=True)))
+    for _, W in iter_primitive_class_letters(n, length_cap):
+        out.update(ConjClass(w) for w in _engine.decode_rows(W, n))
     return out
 
 
@@ -284,16 +282,13 @@ def basic_lemma_sweep(n: int, length_cap: int, chunk: int = 200_000) -> SweepRep
     """
     eng = _engine.PackedEngine(n)
     keys = eng.primitive_class_keys(length_cap)
-    total = 0
+    counts = {l: int(k.size) for l, k in sorted(keys.items())}
     violations = 0
-    for l in sorted(keys):
-        arr = keys[l]
-        total += arr.shape[0]
-        for lo in range(0, arr.shape[0], chunk):
-            W = _engine.unpack_keys(arr[lo:lo + chunk], l, eng.b)
+    for l in counts:
+        for lo in range(0, counts[l], chunk):
+            W = _engine.unpack_keys(keys[l][lo:lo + chunk], l, eng.b)
             violations += int(eng.connected_cutpoint_free_mask(W).sum())
-    return SweepReport(n, length_cap, total, violations,
-                       {l: int(k.size) for l, k in sorted(keys.items())})
+    return SweepReport(n, length_cap, sum(counts.values()), violations, counts)
 
 
 # -- DOT export -------------------------------------------------------------

@@ -186,6 +186,53 @@ class TestPs2Probe:
         assert obj["manifest"]["args"]["length_cap"] == 4
 
 
+NAN_REP = '{"field": "real", "rank": 2, "images": [[[NaN, 0], [0, 1]], [[1, 1], [0, 1]]]}'
+GOOD = [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]]
+
+# one bad input per subcommand and kind: malformed words, bad rep files,
+# invalid budgets; {bad}, {good} and {cert} are files written by the test
+ERROR_CASES = [
+    ["primitive", "--rank", "2", "zork"],
+    ["primitive", "--rank", "2", "x3"],
+    ["whgraph", "--rank", "2", "x1 x9"],
+    ["density", "certify", "--rep", "{bad}"],
+    ["density", "certify", "--rep", "{good}", "--budget-candidates", "0"],
+    ["density", "certify", "--rep", "{good}", "--budget-time", "-1"],
+    ["density", "replay", "{good}"],
+    ["density", "replay", "{cert}"],
+    ["walk", "--group", "real", "--rep", "{bad}", "--steps", "10"],
+    ["walk", "--group", "real", "--steps", "-1"],
+    ["walk", "--group", "real", "--steps", "10", "--stride", "0"],
+    ["steer", "--phi", "{bad}", "--psi", "{good}"],
+    ["steer", "--phi", "{good}", "--psi", "{good}", "--budget-word-length", "0"],
+    ["nonmixing", "demo", "-L", "0"],
+    ["nonmixing", "demo", "-L", "4", "--m", "0"],
+    ["ps2", "probe", "--rho1", "{bad}", "--rho2", "{good}", "-L", "3"],
+    ["ps2", "probe", "--rho1", "{good}", "--rho2", "{good}", "-L", "0"],
+]
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize("args", ERROR_CASES, ids=lambda a: " ".join(a[:3]))
+    def test_input_errors_exit_two(self, runner, tmp_path, args):
+        files = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json",
+                 "cert": tmp_path / "cert.json"}
+        files["bad"].write_text(NAN_REP)
+        write_rep(files["good"], GOOD)
+        files["cert"].write_text('{"certificate": {"field": "real"}}')
+        argv = [a.format(**{k: str(p) for k, p in files.items()}) for a in args]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: ")
+
+    def test_walk_nan_rep_names_the_cause(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(NAN_REP)
+        res = runner.invoke(main, ["walk", "--group", "real", "--rep", str(path)])
+        assert res.exit_code == 2
+        assert "finite" in res.stderr
+
+
 class TestHelp:
     def test_all_subcommands_documented(self, runner):
         res = runner.invoke(main, ["--help"])

@@ -4,11 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autrep import _engine
 from autrep.freegroup import (
+    ConjClass,
     apply,
     cyclic_reduce,
+    format_word,
     reduce,
     whitehead_automorphism,
 )
@@ -84,6 +88,23 @@ class TestPacking:
                 keys = _engine.canonical_keys(_engine.pack_rows(nib_row(w), b), len(w), b)
                 got = tuple(_engine.unpack_keys(keys, len(w), b)[0])
                 assert got == canonical_nibbles(w)
+
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from([s * i for i in range(1, n + 1) for s in (1, -1)]),
+                             min_size=1, max_size=_engine.max_pack_length(n)))))
+    def test_decode_canonical_keys_matches_conj_class(self, n_letters):
+        n, letters = n_letters
+        w, _ = cyclic_reduce(reduce(letters, n))
+        if not w.letters:
+            return
+        b = _engine.bits_per_letter(n)
+        keys = _engine.canonical_keys(_engine.pack_rows(nib_row(w), b), len(w), b)
+        [got] = _engine.decode_rows(_engine.unpack_keys(keys, len(w), b), n)
+        want = ConjClass(w)
+        assert got == want.canonical
+        assert ConjClass(got) == want
+        assert format_word(got) == format_word(want.canonical)
 
 
 class TestMoves:

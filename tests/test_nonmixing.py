@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from autrep import _engine
-from autrep.freegroup import FreeAutomorphism, Word, apply, format_word
+from autrep import _engine, nonmixing
+from autrep.freegroup import FreeAutomorphism, Word, apply, format_word, reduce
 from autrep.nonmixing import (
     TwistingPreconditionError,
     _scaled_word_products,
@@ -22,8 +24,11 @@ from autrep.sl2 import (
     BASEPOINT,
     GroupElement,
     Representation,
+    evaluate,
+    generator_table,
     h3_distance,
     mobius_act,
+    random_element,
     translation_length,
 )
 from autrep.whitehead import build_graph
@@ -173,12 +178,7 @@ class TestTwistedPair:
 class TestScaledProducts:
     def test_matches_direct_products(self):
         rng = np.random.default_rng(0)
-        table = np.empty((4, 2, 2))
-        from autrep.sl2 import random_element
-        for i in range(2):
-            g = random_element(rng, "real", 0.6)
-            table[2 * i] = g.m
-            table[2 * i + 1] = g.inverse().m
+        table = generator_table([random_element(rng, "real", 0.6) for _ in range(2)])
         W = rng.integers(0, 4, size=(50, 6)).astype(np.uint8)
         P, E = _scaled_word_products(W, table)
         for r in range(50):
@@ -187,6 +187,23 @@ class TestScaledProducts:
                 direct = direct @ table[W[r, j]]
             assert np.abs(P[r] * np.exp2(float(E[r])) - direct).max() < 1e-9 * max(
                 1.0, float(np.abs(direct).max()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=30))
+    def test_scaled_product_matches_evaluate(self, field, seed, letters):
+        rng = np.random.default_rng(seed)
+        rep = Representation([random_element(rng, field, 1.5) for _ in range(3)])
+        w = reduce(letters, 3)
+        if not w.letters:
+            return
+        W = np.array([[_engine.nib_of_letter(v) for v in w.letters]], dtype=np.uint8)
+        P, E = _scaled_word_products(W, generator_table(rep.images))
+        assert np.abs(P[0]).max() < 1.0 <= 2 * np.abs(P[0]).max()
+        want = evaluate(rep, w).m
+        # rounding grows at most with the product of the factor norms
+        bound = math.prod(np.abs(rep.images[abs(v) - 1].m).sum() for v in w.letters)
+        assert np.abs(P[0] * np.exp2(float(E[0])) - want).max() <= 1e-12 * bound
 
 
 class TestProbe:
@@ -286,8 +303,23 @@ class TestProbe:
         lines = path.read_text().splitlines()
         assert len(lines) == 2 + rpt.total_classes
         assert lines[1].split(",")[0] == "class"
+        # the block decoder against a row-by-row scalar decode
+        b = _engine.bits_per_letter(3)
+        for i, line in enumerate(lines[2:]):
+            l = int(rpt.col_length[i])
+            row = _engine.unpack_keys(rpt.col_keys[i:i + 1], l, b)[0]
+            w = Word(tuple(_engine.letter_of_nib(int(x)) for x in row), 3)
+            assert line.split(",")[:2] == [format_word(w), str(l)]
         obj = rpt.to_obj()
         assert obj["total_classes"] == rpt.total_classes
+
+    def test_non_finite_length_raises(self, monkeypatch):
+        rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
+        real = nonmixing._lengths_from_scaled_traces
+        monkeypatch.setattr(nonmixing, "_lengths_from_scaled_traces",
+                            lambda *a: np.where(real(*a) > 0, np.nan, 0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            ps2_probe(rep, rep, 3, axis_check=False)
 
 
 class TestDemoPipeline:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autrep import jsonio
 from autrep.freegroup import FreeAutomorphism, Word, compose
@@ -55,6 +57,15 @@ class TestGroupElement:
         a = GroupElement([[1, 1], [0, 1]])
         b = GroupElement([[1, 0], [1, 1]])
         assert np.array_equal((a @ b).m, np.array([[2.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("field", ["real", "complex", "su2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, field, bad):
+        # NaN fails every comparison, and inf makes the det scale inf
+        with pytest.raises(ValueError, match="finite"):
+            GroupElement([[bad, 0], [0, 1]], field)
+        with pytest.raises(ValueError, match="finite"):
+            GroupElement([[1, bad], [0, 1]], field)
 
     def test_field_mismatch(self):
         a = GroupElement([[1, 1], [0, 1]], "real")
@@ -324,6 +335,38 @@ class TestSerialization:
         assert "1.3333333333333333" in text
         back = rep_from_obj(jsonio.loads(text))
         assert np.array_equal(back.images[0].m, rep.images[0].m)
+
+
+    def test_json_nan_rejected(self):
+        text = '{"field": "real", "rank": 1, "images": [[[NaN, 0.0], [0.0, 1.0]]]}'
+        with pytest.raises(ValueError, match="finite"):
+            rep_from_obj(jsonio.loads(text))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestJsonio:
+    @given(st.lists(finite, max_size=8), st.dictionaries(st.text(max_size=5), finite,
+                                                        max_size=4))
+    def test_finite_floats_round_trip_exactly(self, xs, d):
+        obj = {"xs": xs, "nested": [d, {"x": xs[:1]}]}
+        for indent in (None, 2):
+            back = jsonio.loads(jsonio.dumps(obj, indent=indent))
+            assert back == obj
+            # equal values and the same sign of zero
+            assert [math.copysign(1.0, x) for x in back["xs"]] == \
+                [math.copysign(1.0, x) for x in xs]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        for indent in (None, 2):
+            with pytest.raises(ValueError):
+                jsonio.dumps({"a": [1.0, bad]}, indent=indent)
+
+    def test_compact_and_indented_layout(self):
+        assert jsonio.dumps({"a": [1, 2.5], "b": None}) == '{"a":[1,2.5],"b":null}'
+        assert jsonio.dumps({"a": [1]}, indent=2) == '{\n  "a": [\n    1\n  ]\n}'
 
 
 class TestToleranceOverrides:
