@@ -17,11 +17,12 @@ frontier a few hundred times smaller than the class count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from .freegroup import Word, whitehead_moves_second_kind
+from .freegroup import FreeAutomorphism, Word, whitehead_automorphism, whitehead_moves_second_kind
 
 U64 = np.uint64
 
@@ -125,12 +126,77 @@ def signed_perm_tables(n: int) -> np.ndarray:
     return np.array(tabs, dtype=np.uint8)
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array by sort and adjacent difference; numpy's
+    hash-based unique is many times slower on uint64 keys."""
+    s = np.sort(keys)
+    if s.size < 2:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     if sorted_arr.size == 0:
         return np.zeros(values.shape, dtype=bool)
     idx = np.searchsorted(sorted_arr, values)
     idx[idx == sorted_arr.size] = sorted_arr.size - 1
     return sorted_arr[idx] == values
+
+
+class MoveTable:
+    """The second-kind Whitehead moves of rank n, in whitehead_moves_second_kind
+    order, with their letter sets as an (M, 2n) nibble table, their multiplier
+    nibbles and, built on first use, their automorphisms."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.moves = tuple(whitehead_moves_second_kind(n))
+        M = len(self.moves)
+        self.Ytab = np.zeros((M, 2 * n), dtype=bool)
+        rows = np.repeat(np.arange(M), [len(Y) for Y, _ in self.moves])
+        cols = np.fromiter((nib_of_letter(v) for Y, _ in self.moves for v in Y),
+                           dtype=np.intp, count=rows.size)
+        self.Ytab[rows, cols] = True
+        self.a_nib = np.array([nib_of_letter(a) for _, a in self.moves], dtype=np.uint8)
+        self.Ytab.setflags(write=False)
+        self.a_nib.setflags(write=False)
+        self._auts: dict[int, FreeAutomorphism] = {}
+
+    def automorphism(self, m: int) -> FreeAutomorphism:
+        aut = self._auts.get(m)
+        if aut is None:
+            Y, a = self.moves[m]
+            aut = self._auts[m] = whitehead_automorphism(Y, a, self.n)
+        return aut
+
+    def length_deltas(self, W: np.ndarray) -> np.ndarray:
+        """Cyclic-length change of every move on every cyclically reduced
+        nibble row of W: (M, N) int64.
+
+        Equals crossing-edge count E(Y, Y^c) of the Whitehead graph minus
+        the degree of the multiplier vertex.
+        """
+        N, l = W.shape
+        n2 = 2 * self.n
+        u = W
+        v = np.concatenate([W[:, 1:], W[:, :1]], axis=1) ^ 1
+        E = (self.Ytab[:, u] ^ self.Ytab[:, v]).sum(axis=2, dtype=np.int64)
+        # vertex degrees of each row's graph: one count over row * 2n + vertex
+        ends = np.concatenate([u, v], axis=1).astype(np.int64)
+        ends += (np.arange(N, dtype=np.int64) * n2)[:, None]
+        cnt = np.bincount(ends.ravel(), minlength=N * n2).reshape(N, n2)
+        return E - cnt[:, self.a_nib].T
+
+
+@functools.cache
+def move_table(n: int) -> MoveTable:
+    """The one MoveTable of rank n, shared by the engine and the descent.
+    Kept for the life of the process: 2n(2^(2n-2) - 1) moves, about 200 MB
+    at rank 8."""
+    return MoveTable(n)
 
 
 class PackedEngine:
@@ -143,35 +209,16 @@ class PackedEngine:
             raise ValueError("packed engine supports rank <= 7")
         self.n = n
         self.b = bits_per_letter(n)
-        self.moves = whitehead_moves_second_kind(n)
-        M = len(self.moves)
-        self.Ytab = np.zeros((M, 2 * n), dtype=bool)
-        self.a_nib = np.zeros(M, dtype=np.uint8)
-        for m, (Y, a) in enumerate(self.moves):
-            for v in Y:
-                self.Ytab[m, nib_of_letter(v)] = True
-            self.a_nib[m] = nib_of_letter(a)
+        table = move_table(n)
+        self.moves, self.Ytab, self.a_nib = table.moves, table.Ytab, table.a_nib
+        self._table = table
         self.perms = signed_perm_tables(n)
 
     # -- moves ---------------------------------------------------------
 
     def length_deltas(self, W: np.ndarray) -> np.ndarray:
-        """Cyclic-length change of every move on every row: (M, N) int64.
-
-        Equals crossing-edge count E(Y, Y^c) of the Whitehead graph minus
-        the degree of the multiplier vertex.
-        """
-        N, l = W.shape
-        u = W
-        v = np.concatenate([W[:, 1:], W[:, :1]], axis=1) ^ 1
-        E = (self.Ytab[:, u] ^ self.Ytab[:, v]).sum(axis=2, dtype=np.int64)
-        cnt = np.zeros((N, 2 * self.n), dtype=np.int64)
-        rows = np.arange(N)
-        for j in range(l):
-            np.add.at(cnt, (rows, u[:, j]), 1)
-            np.add.at(cnt, (rows, v[:, j]), 1)
-        deg = cnt[:, self.a_nib].T
-        return E - deg
+        """Cyclic-length change of every move on every row: (M, N) int64."""
+        return self._table.length_deltas(W)
 
     def apply_move(self, W: np.ndarray, m: int) -> list[tuple[int, np.ndarray]]:
         """Apply move m to rows of W; returns canonical keys grouped by new
@@ -236,8 +283,8 @@ class PackedEngine:
             for i, t in enumerate(self.perms):
                 A[i] = canonical_keys(translate_keys(ks, l, self.b, t), l, self.b)
             reps[lo:lo + chunk] = A.min(axis=0)
-            members.append(np.unique(A.ravel()))
-        return np.unique(np.concatenate(members)), reps
+            members.append(sorted_unique(A.ravel()))
+        return sorted_unique(np.concatenate(members)), reps
 
     # -- enumeration ---------------------------------------------------
 
@@ -263,13 +310,13 @@ class PackedEngine:
         gen_keys = np.array([0], dtype=U64)  # the class of x1
         members, reps = self.orbit_keys(gen_keys, 1)
         seen[1] = members
-        pending[1].append(np.unique(reps))
+        pending[1].append(sorted_unique(reps))
         while True:
             todo = [l for l in pending if pending[l]]
             if not todo:
                 break
             l = min(todo)
-            reps = np.unique(np.concatenate(pending[l]))
+            reps = sorted_unique(np.concatenate(pending[l]))
             pending[l] = []
             for lo in range(0, reps.shape[0], scan_chunk):
                 W = unpack_keys(reps[lo:lo + scan_chunk], l, self.b)
@@ -282,16 +329,45 @@ class PackedEngine:
                     for lp, keys in self.apply_move(W[rows], m):
                         fresh_by_len.setdefault(lp, []).append(keys)
                 for lp, parts in sorted(fresh_by_len.items()):
-                    cand = np.unique(np.concatenate(parts))
+                    cand = sorted_unique(np.concatenate(parts))
                     cand = cand[~_isin_sorted(cand, seen[lp])]
                     if cand.size == 0:
                         continue
                     members, reps2 = self.orbit_keys(cand, lp)
-                    seen[lp] = np.union1d(seen[lp], members)
-                    pending[lp].append(np.unique(reps2))
+                    seen[lp] = sorted_unique(np.concatenate([seen[lp], members]))
+                    pending[lp].append(sorted_unique(reps2))
         return {l: keys for l, keys in seen.items() if keys.size}
 
     # -- whole-graph predicates -----------------------------------------
+
+    def edge_masks(self, W: np.ndarray) -> np.ndarray:
+        """The simple Whitehead graph of each cyclically reduced row as a
+        uint64 bitmask over the vertex pairs {i < j} (28 bits for rank 4)."""
+        n2 = 2 * self.n
+        if n2 * (n2 - 1) // 2 > 64:
+            raise ValueError("edge masks support rank <= 5")
+        bit = np.zeros((n2, n2), dtype=U64)
+        for k, (i, j) in enumerate(itertools.combinations(range(n2), 2)):
+            bit[i, j] = bit[j, i] = U64(1) << U64(k)
+        out = np.zeros(W.shape[0], dtype=U64)
+        for j in range(W.shape[1]):
+            out |= bit[W[:, j], W[:, (j + 1) % W.shape[1]] ^ 1]
+        return out
+
+    def count_connected_cutpoint_free(self, W: np.ndarray) -> int:
+        """connected_cutpoint_free_mask(W).sum(), running the predicate on one
+        row per distinct simple graph and weighting its verdict by the number
+        of rows that share that graph.  Exact: the predicate only reads the
+        simple graph."""
+        if W.shape[0] == 0:
+            return 0
+        masks = self.edge_masks(W)
+        graphs = sorted_unique(masks)
+        which = np.searchsorted(graphs, masks)
+        rep = np.empty(graphs.size, dtype=np.int64)
+        rep[which] = np.arange(W.shape[0])  # any row of each graph will do
+        hit = self.connected_cutpoint_free_mask(W[rep])
+        return int(np.bincount(which, minlength=graphs.size)[hit].sum())
 
     def connected_cutpoint_free_mask(self, W: np.ndarray) -> np.ndarray:
         """For each cyclically reduced row: is its Whitehead graph connected

@@ -253,7 +253,7 @@ def _su2_quat(batch: np.ndarray) -> np.ndarray:
                      batch[:, 0, 1].real, batch[:, 0, 1].imag], axis=1)
 
 
-def _sphere_levels(table: np.ndarray, k: int, max_level: int, cap: int,
+def _sphere_levels(table: np.ndarray, max_level: int, cap: int,
                    resolution: float = 1e-5):
     """Breadth-first word spheres with global dedup of discretized group
     elements, up to max_level letters or cap distinct points.
@@ -291,7 +291,7 @@ def _sphere_levels(table: np.ndarray, k: int, max_level: int, cap: int,
         child, child_nib, parent = child[fresh], child_nib[fresh], parent[fresh]
         levels.append((child_nib, parent))
         mats_levels.append(child)
-        seen = np.union1d(seen, keys[fresh])
+        seen = _engine.sorted_unique(np.concatenate([seen, keys[fresh]]))
         mats = child
         total += child.shape[0]
         if total >= cap:
@@ -340,7 +340,7 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     # that generators near finite-order elements produce, letting the
     # breadth-first growth run deep instead of saturating the budget
     resolution = max(epsilon / 8.0, 1e-5)
-    levels, mats_levels = _sphere_levels(table, k, half, cap, resolution)
+    levels, mats_levels = _sphere_levels(table, half, cap, resolution)
     all_mats = np.concatenate([np.eye(2, dtype=np.complex128)[None]] + mats_levels)
     # level j occupies all_mats[starts[j]:starts[j + 1]]; index 0 is the empty word
     starts = np.cumsum([1] + [m.shape[0] for m in mats_levels])

@@ -27,9 +27,9 @@ _FIELDS = ("real", "complex", "su2")
 class Tolerances:
     """Central tolerance policy.
 
-    det tolerance scales with the squared Frobenius norm: the determinant of
-    a float matrix with entries of size g carries rounding of order g^2 eps,
-    so an absolute bound is unattainable for large entries.
+    det tolerance scales with max(1, |ad|, |bc|): the determinant ad - bc of
+    a float matrix carries rounding of order max(|ad|, |bc|) eps, so an
+    absolute bound is unattainable for large entries.
     """
     tol_det: float = 1e-9
     tol_par: float = 1e-8
@@ -61,10 +61,12 @@ class GroupElement:
         top = float(np.abs(arr).max())  # max propagates NaN
         if not math.isfinite(top):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, top ** 2)
-        det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-        if abs(det - 1.0) > tol.tol_det * scale:
-            raise DetDriftError(f"determinant {det} drifted beyond tolerance")
+        # entries divided by s and the whole test by s^2: no product can overflow
+        s = max(1.0, top)
+        a, b, c, d = (x / s for x in arr.ravel().tolist())
+        ad, bc = a * d, b * c
+        if abs(ad - bc - 1.0 / s / s) > tol.tol_det * max(1.0 / s / s, abs(ad), abs(bc)):
+            raise DetDriftError(f"determinant {(ad - bc) * s * s} drifted beyond tolerance")
         arr.setflags(write=False)
         self.m = arr
         self.field = field

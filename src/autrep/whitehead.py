@@ -23,8 +23,6 @@ from .freegroup import (
     _letter_key,
     apply,
     cyclic_reduce,
-    whitehead_automorphism,
-    whitehead_moves_second_kind,
 )
 
 
@@ -192,8 +190,7 @@ def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
     core, _ = cyclic_reduce(w)
     if core.is_identity():
         raise ValueError("the trivial word is not an input for primitivity")
-    n = w.rank
-    moves = whitehead_moves_second_kind(n)
+    table = _engine.move_table(w.rank)
     chain: list[FreeAutomorphism] = []
     steps = 0
     while len(core) > 1:
@@ -201,14 +198,13 @@ def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
             raise PrimitivityBudgetError(
                 f"descent budget {budget} exhausted at cyclic length {len(core)}")
         steps += 1
-        for (Y, a) in moves:
-            if whitehead_length_delta(core, Y, a) < 0:
-                aut = whitehead_automorphism(Y, a, n)
-                chain.append(aut)
-                core, _ = cyclic_reduce(apply(aut, core))
-                break
-        else:
+        row = np.array([[_engine.nib_of_letter(v) for v in core.letters]], dtype=np.uint8)
+        shorter = np.flatnonzero(table.length_deltas(row)[:, 0] < 0)
+        if shorter.size == 0:
             return PrimitivityVerdict(False, chain, core)
+        aut = table.automorphism(int(shorter[0]))
+        chain.append(aut)
+        core, _ = cyclic_reduce(apply(aut, core))
     return PrimitivityVerdict(True, chain, core)
 
 
@@ -287,7 +283,7 @@ def basic_lemma_sweep(n: int, length_cap: int, chunk: int = 200_000) -> SweepRep
     for l in counts:
         for lo in range(0, counts[l], chunk):
             W = _engine.unpack_keys(keys[l][lo:lo + chunk], l, eng.b)
-            violations += int(eng.connected_cutpoint_free_mask(W).sum())
+            violations += eng.count_connected_cutpoint_free(W)
     return SweepReport(n, length_cap, sum(counts.values()), violations, counts)
 
 

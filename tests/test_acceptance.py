@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from autrep.density import (
     DensityCertificate,
@@ -178,6 +179,7 @@ class TestCriterion4DensitySoundness:
               f"certificate [{time.time() - t0:.0f}s]")
 
 
+@pytest.mark.slow  # all three share the L=12 pipeline run, several minutes
 class TestCriterion5HeadlinePipeline:
     def test_full_pipeline_at_L12(self):
         demo = _demo()
@@ -254,6 +256,7 @@ class TestCriterion7Steering:
     BUDGET = SearchBudget(max_word_length=160, max_candidates=200_000,
                           time_cap_s=120.0)
 
+    @pytest.mark.slow
     def test_twenty_seeded_triples(self):
         t0 = time.time()
         worst = 0.0

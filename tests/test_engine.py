@@ -1,10 +1,11 @@
 """Parity tests: the packed engine against the plain word algebra."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autrep import _engine
@@ -16,6 +17,7 @@ from autrep.freegroup import (
     reduce,
     whitehead_automorphism,
 )
+from autrep.whitehead import basic_lemma_filter
 
 
 def random_core(rng, n, length):
@@ -105,6 +107,93 @@ class TestPacking:
         assert got == want.canonical
         assert ConjClass(got) == want
         assert format_word(got) == format_word(want.canonical)
+
+
+TOP = 2**64 - 1
+
+
+class TestSortedUnique:
+    @given(st.lists(st.one_of(st.integers(0, 40), st.integers(TOP - 40, TOP),
+                              st.integers(0, TOP)), max_size=60))
+    def test_matches_np_unique(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        got = _engine.sorted_unique(keys)
+        want = np.unique(keys)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("values", [[], [TOP], [5, 5, 5], [TOP, 0, TOP - 1, TOP, 0]])
+    def test_edge_cases(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        assert np.array_equal(_engine.sorted_unique(keys), np.unique(keys))
+
+
+class TestMoveTable:
+    def test_one_table_per_rank(self):
+        eng = _engine.PackedEngine(3)
+        table = _engine.move_table(3)
+        assert eng.Ytab is table.Ytab and eng.moves is table.moves
+        assert not table.Ytab.flags.writeable
+
+    def test_rows_and_automorphisms_follow_move_order(self):
+        table = _engine.move_table(3)
+        for m, (Y, a) in enumerate(table.moves):
+            assert set(np.flatnonzero(table.Ytab[m])) == {_engine.nib_of_letter(v) for v in Y}
+            assert table.a_nib[m] == _engine.nib_of_letter(a)
+            assert table.automorphism(m) == whitehead_automorphism(Y, a, 3)
+        assert table.automorphism(7) is table.automorphism(7)
+
+
+def cyclic_words(ranks, max_len):
+    """Hypothesis strategy: (rank, nonempty cyclically reduced word)."""
+    def words(n):
+        letters = st.lists(st.sampled_from([s * i for i in range(1, n + 1) for s in (1, -1)]),
+                           min_size=1, max_size=max_len)
+        return letters.map(lambda ls: cyclic_reduce(reduce(ls, n))[0])
+    return (st.sampled_from(ranks).flatmap(lambda n: st.tuples(st.just(n), words(n)))
+            .filter(lambda nw: len(nw[1]) > 0))
+
+
+class TestGraphPredicate:
+    @given(cyclic_words((3, 4), 16))
+    @settings(max_examples=200)
+    def test_mask_matches_basic_lemma_filter(self, nw):
+        n, w = nw
+        [flag] = _engine.PackedEngine(n).connected_cutpoint_free_mask(nib_row(w))
+        assert bool(flag) == (not basic_lemma_filter(w))
+
+    def test_distinct_graph_count_matches_mask_sum(self):
+        rng = random.Random(12)
+        for n in (2, 3, 4):
+            eng = _engine.PackedEngine(n)
+            # [x1, x2] ... [x1, xn] is not primitive, and its graph is
+            # connected and free of cutpoints
+            comm = reduce([v for j in range(2, n + 1) for v in (1, j, -1, -j)], n)
+            l = len(comm)
+            assert not basic_lemma_filter(comm)
+            words = [comm] + [w for w in (random_core(rng, n, l) for _ in range(300))
+                              if len(w) == l]
+            rows = []
+            for w in words:
+                row = [_engine.nib_of_letter(v) for v in w.letters]
+                r = rng.randrange(l)
+                rows += [row, row[r:] + row[:r]]  # a rotation has the same graph
+            W = np.array(rows, dtype=np.uint8)
+            want = int(eng.connected_cutpoint_free_mask(W).sum())
+            assert want > 0
+            assert np.unique(eng.edge_masks(W)).size < W.shape[0]
+            assert eng.count_connected_cutpoint_free(W) == want
+            assert eng.count_connected_cutpoint_free(W[:0]) == 0
+
+    @given(cyclic_words((2, 3, 4), 12))
+    def test_edge_masks_are_the_simple_graph(self, nw):
+        n, w = nw
+        [mask] = _engine.PackedEngine(n).edge_masks(nib_row(w))
+        pairs = list(itertools.combinations(range(2 * n), 2))
+        got = {pairs[k] for k in range(len(pairs)) if int(mask) >> k & 1}
+        c = [_engine.nib_of_letter(v) for v in w.letters]
+        want = {tuple(sorted((c[i], c[(i + 1) % len(c)] ^ 1))) for i in range(len(c))}
+        assert got == want
 
 
 class TestMoves:

@@ -67,6 +67,18 @@ class TestGroupElement:
         with pytest.raises(ValueError, match="finite"):
             GroupElement([[1, bad], [0, 1]], field)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("big", [1e9, 1e12, 1e150, 1.3e154, 1e200, 1.7e308])
+    def test_large_determinant_rejected(self, field, big):
+        # the tolerance scales with |ad| and |bc|, not max|entry|^2, so it
+        # keeps up with a large determinant; the check never overflows
+        with pytest.raises(DetDriftError):
+            GroupElement([[big, 0], [0, 1]], field)
+        with pytest.raises(DetDriftError):
+            GroupElement([[big, 1], [0, big]], field)
+        g = GroupElement([[big, big - 1], [1, 1]], field)  # det 1 up to rounding
+        assert g.m[0, 0] == big
+
     def test_field_mismatch(self):
         a = GroupElement([[1, 1], [0, 1]], "real")
         b = GroupElement([[1, 0], [1, 1]], "complex")

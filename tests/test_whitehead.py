@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from autrep import _engine
 from autrep.freegroup import (
@@ -193,6 +195,50 @@ class TestDecidePrimitive:
             v = decide_primitive(c.canonical)
             assert v.primitive
             assert replay_chain(c.canonical, v.chain).cyclic_length() == 1
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from([s * i for i in range(1, n + 1) for s in (1, -1)]),
+                             min_size=1, max_size=12))))
+    @settings(deadline=None)
+    def test_chain_matches_scalar_descent(self, n_letters):
+        n, letters = n_letters
+        w = reduce(letters, n)
+        assume(w.cyclic_length() > 0)
+        v = decide_primitive(w)
+        primitive, chain, terminal = scalar_descent(w)
+        assert (v.primitive, v.chain, v.terminal) == (primitive, chain, terminal)
+
+    def test_chain_matches_scalar_descent_on_primitives(self):
+        for n, cap in ((3, 5), (4, 4)):
+            for c in enumerate_primitive_classes(n, cap):
+                v = decide_primitive(c.canonical)
+                assert (v.primitive, v.chain, v.terminal) == scalar_descent(c.canonical)
+
+    def test_rank_8(self):
+        # beyond the packed engine's rank limit; x8 occurs once, so primitive
+        w = Word((1, 2, -1, -2, 3, 4, 5, 6, 7, 8, 3), 8)
+        v = decide_primitive(w)
+        assert v.primitive
+        assert replay_chain(w, v.chain).cyclic_length() == 1
+        square = decide_primitive(Word((1, 1), 8))
+        assert not square.primitive and square.chain == []
+
+
+def scalar_descent(w):
+    """Whitehead descent by a scalar scan: apply the first second-kind move,
+    in (a, Y) order, whose whitehead_length_delta is negative."""
+    core, _ = cyclic_reduce(w)
+    moves = whitehead_moves_second_kind(w.rank)
+    chain = []
+    while len(core) > 1:
+        for Y, a in moves:
+            if whitehead_length_delta(core, Y, a) < 0:
+                chain.append(whitehead_automorphism(Y, a, w.rank))
+                core, _ = cyclic_reduce(apply(chain[-1], core))
+                break
+        else:
+            return False, chain, core
+    return True, chain, core
 
 
 class TestEnumeration:
