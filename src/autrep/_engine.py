@@ -26,6 +26,10 @@ from .freegroup import FreeAutomorphism, Word, whitehead_automorphism, whitehead
 
 U64 = np.uint64
 
+# keys per block in PackedEngine.orbit_keys and in primitive_class_keys' move scan
+ORBIT_BLOCK = 65_536
+SCAN_BLOCK = 8_192
+
 
 def bits_per_letter(n: int) -> int:
     return max(2, (2 * n - 1).bit_length())
@@ -268,8 +272,7 @@ class PackedEngine:
 
     # -- orbits --------------------------------------------------------
 
-    def orbit_keys(self, keys: np.ndarray, l: int, chunk: int = 65536
-                   ) -> tuple[np.ndarray, np.ndarray]:
+    def orbit_keys(self, keys: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
         """All signed-permutation orbit members of the given canonical keys.
 
         Returns (all_member_keys sorted unique, orbit representative per
@@ -277,19 +280,18 @@ class PackedEngine:
         """
         members = []
         reps = np.empty_like(keys)
-        for lo in range(0, keys.shape[0], chunk):
-            ks = keys[lo:lo + chunk]
+        for lo in range(0, keys.shape[0], ORBIT_BLOCK):
+            ks = keys[lo:lo + ORBIT_BLOCK]
             A = np.empty((self.perms.shape[0], ks.shape[0]), dtype=U64)
             for i, t in enumerate(self.perms):
                 A[i] = canonical_keys(translate_keys(ks, l, self.b, t), l, self.b)
-            reps[lo:lo + chunk] = A.min(axis=0)
+            reps[lo:lo + ORBIT_BLOCK] = A.min(axis=0)
             members.append(sorted_unique(A.ravel()))
         return sorted_unique(np.concatenate(members)), reps
 
     # -- enumeration ---------------------------------------------------
 
-    def primitive_class_keys(self, length_cap: int, scan_chunk: int = 8192
-                             ) -> dict[int, np.ndarray]:
+    def primitive_class_keys(self, length_cap: int) -> dict[int, np.ndarray]:
         """All conjugacy classes of primitive elements (up to inversion) with
         cyclic length <= length_cap, as sorted canonical key arrays per length.
 
@@ -318,8 +320,8 @@ class PackedEngine:
             l = min(todo)
             reps = sorted_unique(np.concatenate(pending[l]))
             pending[l] = []
-            for lo in range(0, reps.shape[0], scan_chunk):
-                W = unpack_keys(reps[lo:lo + scan_chunk], l, self.b)
+            for lo in range(0, reps.shape[0], SCAN_BLOCK):
+                W = unpack_keys(reps[lo:lo + SCAN_BLOCK], l, self.b)
                 deltas = self.length_deltas(W)
                 fresh_by_len: dict[int, list[np.ndarray]] = {}
                 for m in range(deltas.shape[0]):

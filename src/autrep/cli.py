@@ -3,9 +3,9 @@
 Every artifact (JSON or CSV) embeds a run manifest: subcommand, flags, seed,
 package version, and timestamps.  All stochastic outputs are fully
 determined by --seed; rerunning with the same flags reproduces them
-bit-for-bit apart from the timestamps, unless a --budget-time cap fires:
-where the wall clock stops a search, the result depends on machine load
-(density reports record this as "truncated").
+bit-for-bit apart from the timestamps (and a density report's elapsed_s).
+A search that hits its --budget-time cap is an error (exit code 2), so the
+wall clock never decides a result.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
                         budget_time, out):
     """Certify density of the subgroup generated by the tuple.
 
-    Exit code 0: dense (certificate emitted); 1: not certified; 2: error.
+    Exit code 0: dense (certificate emitted); 1: not certified; 2: error
+    (a --budget-time stop included).
     """
     manifest = RunManifest("density certify",
                            {"rep": rep_path, "budget_word_length": budget_word_length,
@@ -246,7 +247,7 @@ def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
     """Steer one representation tuple toward another by an automorphism.
 
     Exit code 0: success at epsilon; 1: budget failure (partial result);
-    2: a stage's density prerequisite failed.
+    2: a stage's density prerequisite failed or --budget-time was hit.
     """
     manifest = RunManifest("steer", {"phi": phi_path, "psi": psi_path,
                                      "epsilon": epsilon,

@@ -15,6 +15,8 @@ infinite subgroup of SU(2) with full adjoint span has dense closure.
 
 Every Dense verdict carries a certificate that replays through the sl2
 module; everything else is an explicit obstruction or an honest Unknown.
+A search stopped by its time cap raises TimeCapError instead of returning,
+so every verdict depends only on the inputs, the seed and the count budgets.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .sl2 import (
     GroupElement,
     IsometryType,
     Representation,
-    Tolerances,
     act,
     ad_span_rank,
     adjoint,
@@ -64,19 +65,27 @@ class SearchBudget:
             raise ValueError("budget fields must be positive")
 
 
-@dataclass(frozen=True)
-class WitnessPolicy:
-    delta_irr: float = 1e-6
-    q_max: int = 64
-    near_lo: float = 1e-9
-    near_hi: float = 1e-3
-    noncommute_floor: float = 1e-6
+class TimeCapError(RuntimeError):
+    """A search hit its wall-clock cap before its count budgets ran out."""
+
+    def __init__(self, cap_s: float, examined: int):
+        self.cap_s = cap_s
+        self.examined = examined
+        super().__init__(f"time cap of {cap_s:g} s hit after {examined} words examined")
 
 
-DEFAULT_WITNESS = WitnessPolicy()
+# witness thresholds: an elliptic word's angle/pi must sit DELTA_IRR away from
+# every rational of denominator <= Q_MAX; a near-identity word lies within
+# (NEAR_LO, NEAR_HI) of +-1 and fails to commute with a generator by more
+# than NONCOMMUTE_FLOOR
+DELTA_IRR = 1e-6
+Q_MAX = 64
+NEAR_LO = 1e-9
+NEAR_HI = 1e-3
+NONCOMMUTE_FLOOR = 1e-6
 
 
-def rational_angle_margin(theta: float, q_max: int = 64) -> float:
+def rational_angle_margin(theta: float, q_max: int = Q_MAX) -> float:
     """Distance from theta/pi to the nearest rational with denominator <= q_max."""
     x = theta / math.pi
     return min(abs(x - round(x * q) / q) for q in range(1, q_max + 1))
@@ -182,29 +191,28 @@ def _common_eigenvector(mats: list[np.ndarray], tol: float = 1e-8) -> bool:
     return False
 
 
-def _irrational_elliptic_witness(g: np.ndarray, field_tag: str, tol: Tolerances,
-                                 policy: WitnessPolicy) -> dict | None:
-    ge = GroupElement(g, field_tag, tol)
-    c = classify(ge, tol)
+def _irrational_elliptic_witness(g: np.ndarray, field_tag: str) -> dict | None:
+    ge = GroupElement(g, field_tag)
+    c = classify(ge)
     if c.kind is not IsometryType.ELLIPTIC:
         return None
-    theta = rotation_angle(ge, tol)
-    margin = rational_angle_margin(theta, policy.q_max)
-    if margin > policy.delta_irr:
+    theta = rotation_angle(ge)
+    margin = rational_angle_margin(theta)
+    if margin > DELTA_IRR:
         return {"kind": "elliptic-irrational", "angle": theta, "margin": margin,
-                "q_max": policy.q_max}
+                "q_max": Q_MAX}
     return None
 
 
 def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget(),
-                  seed: int = 0, tol: Tolerances = DEFAULT_TOL,
-                  policy: WitnessPolicy = DEFAULT_WITNESS) -> DensityVerdict:
+                  seed: int = 0) -> DensityVerdict:
     """Budgeted search for a density certificate for <S>.
 
     Dense requires (a) adjoint span of rank 9 over short words and (b) a
-    nondiscreteness witness (infinite-order witness alone for su2).  When
-    the search completes without truncation, structural obstructions are
-    reported as LikelyNotDense; otherwise the verdict is Unknown.
+    nondiscreteness witness (infinite-order witness alone for su2).  Without
+    both, structural obstructions are reported as LikelyNotDense and
+    anything else as Unknown.  Raises TimeCapError if budget.time_cap_s
+    passes before the word stream is done.
     """
     S = list(S)
     if not S:
@@ -218,8 +226,8 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
 
     eye = np.eye(2)
     nontrivial = [g.m for g in S
-                  if np.abs(g.m - eye).max() > policy.near_lo
-                  and np.abs(g.m + eye).max() > policy.near_lo]
+                  if np.abs(g.m - eye).max() > NEAR_LO
+                  and np.abs(g.m + eye).max() > NEAR_LO]
     if not nontrivial:
         return DensityVerdict("likely_not_dense", reason="elementary",
                               report={"detail": "all generators are central",
@@ -231,7 +239,6 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     witness: dict | None = None
     near_identity: list[tuple[Word, np.ndarray, float]] = []
     words_examined = 0
-    truncated = False
     saw_elliptic = False
     min_distance = math.inf
 
@@ -241,7 +248,7 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
         norm0 = np.linalg.norm(v)
         for b in basis:
             v = v - (b.conj() @ v) * b
-        if np.linalg.norm(v) > tol.sv_rel_cutoff * max(norm0, 1.0):
+        if np.linalg.norm(v) > DEFAULT_TOL.sv_rel_cutoff * max(norm0, 1.0):
             basis.append(v / np.linalg.norm(v))
             spanning.append(w)
 
@@ -249,31 +256,30 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     stream = _word_stream(k, budget, seed)
     for letters in stream:
         if time.monotonic() - t0 > budget.time_cap_s:
-            truncated = True
-            break
+            raise TimeCapError(budget.time_cap_s, words_examined)
         words_examined += 1
         w = Word(letters, k, _checked=True)
         m = evaluate(rep, w).m
         if len(basis) < target_rank:
-            A = adjoint(GroupElement(m, field_tag, tol))
+            A = adjoint(GroupElement(m, field_tag))
             vec = A.reshape(9)
             if use_real_span and np.iscomplexobj(vec):
                 vec = vec.real
             rank_add(vec, w)
         d_id = min(opnorm(m - eye), opnorm(m + eye))
-        if d_id > policy.near_lo:
+        if d_id > NEAR_LO:
             min_distance = min(min_distance, d_id)
         if witness is None:
-            ell = _irrational_elliptic_witness(m, field_tag, tol, policy)
+            ell = _irrational_elliptic_witness(m, field_tag)
             if ell is not None:
                 saw_elliptic = True
                 ell["word"] = format_word(w)
                 witness = ell
             else:
-                c = classify(GroupElement(m, field_tag, tol), tol)
+                c = classify(GroupElement(m, field_tag))
                 if c.kind is IsometryType.ELLIPTIC:
                     saw_elliptic = True
-                if (field_tag != "su2" and policy.near_lo < d_id < policy.near_hi):
+                if field_tag != "su2" and NEAR_LO < d_id < NEAR_HI:
                     near_identity.append((w, m, d_id))
         if len(basis) >= target_rank and witness is not None:
             break
@@ -283,7 +289,7 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
         for (w, m, d_id) in near_identity:
             for gi, h in enumerate(S):
                 comm = float(np.abs(m @ h.m - h.m @ m).max())
-                if comm > policy.noncommute_floor:
+                if comm > NONCOMMUTE_FLOOR:
                     witness = {"kind": "near-identity", "word": format_word(w),
                                "distance": d_id, "noncommute": comm,
                                "companion_index": gi}
@@ -294,7 +300,6 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     rank = len(basis)
     report = {
         "words_examined": words_examined,
-        "truncated": truncated,
         "ad_rank": rank,
         "saw_elliptic": saw_elliptic,
         "min_nontrivial_distance": None if math.isinf(min_distance) else min_distance,
@@ -307,17 +312,16 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
 
     if _common_eigenvector([g.m for g in S]):
         return DensityVerdict("likely_not_dense", reason="elementary", report=report)
-    if not truncated and rank < target_rank:
+    if rank < target_rank:
         return DensityVerdict("likely_not_dense", reason="reducible-span", report=report)
-    if (not truncated and rank == target_rank and witness is None
-            and (field_tag == "su2" or (not saw_elliptic and min_distance >= 0.1))):
+    # here rank == target_rank and there is no witness
+    if field_tag == "su2" or (not saw_elliptic and min_distance >= 0.1):
         return DensityVerdict("likely_not_dense", reason="discrete-schottky-like",
                               report=report)
     return DensityVerdict("unknown", report=report)
 
 
-def replay_certificate(cert: DensityCertificate, tol: Tolerances = DEFAULT_TOL,
-                       policy: WitnessPolicy = DEFAULT_WITNESS) -> bool:
+def replay_certificate(cert: DensityCertificate) -> bool:
     """Re-verify a certificate from its own data: spanning words must give
     adjoint rank 9 and the witness numerics must reproduce."""
     rep = Representation(cert.generators)
@@ -325,7 +329,7 @@ def replay_certificate(cert: DensityCertificate, tol: Tolerances = DEFAULT_TOL,
         mats = [evaluate(rep, w) for w in cert.spanning_words]
     except ValueError:
         return False
-    if ad_span_rank(mats, tol) != 9:
+    if ad_span_rank(mats) != 9:
         return False
     w = cert.witness
     try:
@@ -333,29 +337,28 @@ def replay_certificate(cert: DensityCertificate, tol: Tolerances = DEFAULT_TOL,
     except (KeyError, ValueError):
         return False
     if w["kind"] == "elliptic-irrational":
-        c = classify(m, tol)
+        c = classify(m)
         if c.kind is not IsometryType.ELLIPTIC:
             return False
-        theta = rotation_angle(m, tol)
+        theta = rotation_angle(m)
         if abs(theta - w["angle"]) > 1e-9:
             return False
-        return rational_angle_margin(theta, int(w["q_max"])) > policy.delta_irr
+        return rational_angle_margin(theta, int(w["q_max"])) > DELTA_IRR
     if w["kind"] == "near-identity":
         eye = np.eye(2)
         d = min(opnorm(m.m - eye), opnorm(m.m + eye))
-        if not (policy.near_lo < d < policy.near_hi):
+        if not (NEAR_LO < d < NEAR_HI):
             return False
         g = cert.generators[int(w["companion_index"])]
         comm = float(np.abs(m.m @ g.m - g.m @ m.m).max())
-        return comm > policy.noncommute_floor
+        return comm > NONCOMMUTE_FLOOR
     return False
 
 
 def omega_member(S: Sequence[GroupElement], g: GroupElement,
-                 budget: SearchBudget = SearchBudget(), seed: int = 0,
-                 tol: Tolerances = DEFAULT_TOL) -> DensityVerdict:
+                 budget: SearchBudget = SearchBudget(), seed: int = 0) -> DensityVerdict:
     """Is g in Omega(S): does S together with g generate a dense subgroup?"""
-    return certify_dense(list(S) + [g], budget, seed, tol)
+    return certify_dense(list(S) + [g], budget, seed)
 
 
 @dataclass
@@ -366,10 +369,12 @@ class OmegaTildeResult:
     report: dict
 
 
+# radius of the random perturbations in omega_tilde_search
+PERTURBATION = 0.05
+
+
 def omega_tilde_search(S: Representation | Sequence[GroupElement],
                        budget: SearchBudget = SearchBudget(), seed: int = 0,
-                       tol: Tolerances = DEFAULT_TOL,
-                       perturbation: float = 0.05,
                        max_attempts: int = 40) -> OmegaTildeResult:
     """Search for g in the intersection of Omega(S minus one coordinate) over
     all coordinates: g must complete every drop-one subtuple to a dense set.
@@ -386,31 +391,28 @@ def omega_tilde_search(S: Representation | Sequence[GroupElement],
     rng = np.random.default_rng(seed)
     attempts = 0
     blocked: dict[int, int] = {}
+    report = {"perturbation": PERTURBATION,
+              "note": "perturbation radius is an untuned heuristic"}
     products = [elems[i].m @ elems[(i + 1) % n].m for i in range(n)] + \
                [g.m for g in elems]
     while attempts < max_attempts:
         base = products[attempts % len(products)]
-        pert = random_element(rng, field_tag, scale=perturbation)
-        cand = GroupElement(base, field_tag, tol) @ pert
+        pert = random_element(rng, field_tag, scale=PERTURBATION)
+        cand = GroupElement(base, field_tag) @ pert
         attempts += 1
         verdicts = []
         ok = True
         for i in range(n):
             sub = [elems[j] for j in range(n) if j != i] + [cand]
-            v = certify_dense(sub, budget, seed, tol)
+            v = certify_dense(sub, budget, seed)
             verdicts.append(v)
             if not v.dense:
                 blocked[i] = blocked.get(i, 0) + 1
                 ok = False
                 break
         if ok:
-            return OmegaTildeResult(cand, verdicts, attempts,
-                                    {"perturbation": perturbation,
-                                     "note": "perturbation radius is an untuned heuristic"})
-    return OmegaTildeResult(None, [], attempts,
-                            {"perturbation": perturbation,
-                             "blocking_counts": blocked,
-                             "note": "perturbation radius is an untuned heuristic"})
+            return OmegaTildeResult(cand, verdicts, attempts, report)
+    return OmegaTildeResult(None, [], attempts, {**report, "blocking_counts": blocked})
 
 
 @dataclass
@@ -421,8 +423,7 @@ class StrongRedundancyReport:
 
 
 def strongly_redundant(rep: Representation, budget: SearchBudget = SearchBudget(),
-                       seed: int = 0, tol: Tolerances = DEFAULT_TOL
-                       ) -> StrongRedundancyReport:
+                       seed: int = 0) -> StrongRedundancyReport:
     """True iff every (n-1)-subtuple certifies dense; Unknown subtuples make
     the overall answer a flagged False."""
     if rep.rank < 3:
@@ -430,7 +431,7 @@ def strongly_redundant(rep: Representation, budget: SearchBudget = SearchBudget(
     verdicts = []
     for i in range(rep.rank):
         sub = [rep.images[j] for j in range(rep.rank) if j != i]
-        verdicts.append(certify_dense(sub, budget, seed, tol))
+        verdicts.append(certify_dense(sub, budget, seed))
     ok = all(v.dense for v in verdicts)
     unknown = any(v.status == "unknown" for v in verdicts)
     return StrongRedundancyReport(ok, unknown and not ok, verdicts)
@@ -446,8 +447,7 @@ class RedundancyResult:
 
 
 def redundant_heuristic(rep: Representation, budget: SearchBudget = SearchBudget(),
-                        seed: int = 0, tol: Tolerances = DEFAULT_TOL,
-                        max_chain_length: int = 2) -> RedundancyResult:
+                        seed: int = 0, max_chain_length: int = 2) -> RedundancyResult:
     """Look for a free-factor witness of redundancy: an automorphism sigma and
     an index i such that dropping coordinate i of sigma . rep leaves a dense
     subtuple.  Direct subtuple checks first, then bounded Nielsen chains.
@@ -460,7 +460,7 @@ def redundant_heuristic(rep: Representation, budget: SearchBudget = SearchBudget
     def direct(r: Representation, aut: FreeAutomorphism, tried: int) -> RedundancyResult | None:
         for i in range(r.rank):
             sub = [r.images[j] for j in range(r.rank) if j != i]
-            v = certify_dense(sub, budget, seed, tol)
+            v = certify_dense(sub, budget, seed)
             if v.dense:
                 return RedundancyResult("redundant", aut, i, v.certificate, tried)
         return None
@@ -496,8 +496,7 @@ class LinksResult:
 
 
 def links(phi: Representation, psi: Representation,
-          budget: SearchBudget = SearchBudget(), seed: int = 0,
-          tol: Tolerances = DEFAULT_TOL) -> LinksResult:
+          budget: SearchBudget = SearchBudget(), seed: int = 0) -> LinksResult:
     """psi links phi when for every k < n the mixed tuple
     (phi(x_1)..phi(x_{k-1}), psi(x_{k+1})..psi(x_n)) generates a dense
     subgroup."""
@@ -510,5 +509,5 @@ def links(phi: Representation, psi: Representation,
     for k in range(1, n):
         mixed = [phi.images[i] for i in range(k - 1)] + \
                 [psi.images[i] for i in range(k, n)]
-        out.append(certify_dense(mixed, budget, seed, tol))
+        out.append(certify_dense(mixed, budget, seed))
     return LinksResult(all(v.dense for v in out), out)

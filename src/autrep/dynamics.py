@@ -23,7 +23,7 @@ import numpy as np
 from scipy import stats
 
 from . import _engine
-from .density import DensityVerdict, SearchBudget, certify_dense, opnorm
+from .density import DensityVerdict, SearchBudget, TimeCapError, certify_dense, opnorm
 from .freegroup import (
     FreeAutomorphism,
     Word,
@@ -33,10 +33,8 @@ from .freegroup import (
     whitehead_automorphisms,
 )
 from .sl2 import (
-    DEFAULT_TOL,
     GroupElement,
     Representation,
-    Tolerances,
     act,
     evaluate,
     generator_table,
@@ -57,7 +55,6 @@ class WalkConfig:
     # silent rescale) once a coordinate's det drifts beyond det_guard at
     # its entry scale.  Low-flying walks need this: they can wander under
     # the overflow guard indefinitely.
-    project_su2: bool = True
     det_guard: float = 1e-10
 
     def __post_init__(self):
@@ -122,8 +119,7 @@ def _project_unitary(m: np.ndarray) -> np.ndarray:
     return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
 
-def random_walk(rep: Representation, cfg: WalkConfig,
-                tol: Tolerances = DEFAULT_TOL) -> WalkRun:
+def random_walk(rep: Representation, cfg: WalkConfig) -> WalkRun:
     """Deterministic-under-seed product-replacement walk.
 
     Records a sample at step 0 and after every record_stride further steps.
@@ -150,7 +146,7 @@ def random_walk(rep: Representation, cfg: WalkConfig,
                     a, b, c, d = m.ravel()
                     m = np.array([[d, -b], [-c, a]])
                 acc = m if acc is None else acc @ m
-            new[i] = _project_unitary(acc) if (is_su2 and cfg.project_su2) else acc
+            new[i] = _project_unitary(acc) if is_su2 else acc
         mats = new
         if not is_su2:
             escaped = False
@@ -253,8 +249,7 @@ def _su2_quat(batch: np.ndarray) -> np.ndarray:
                      batch[:, 0, 1].real, batch[:, 0, 1].imag], axis=1)
 
 
-def _sphere_levels(table: np.ndarray, max_level: int, cap: int,
-                   resolution: float = 1e-5):
+def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: float):
     """Breadth-first word spheres with global dedup of discretized group
     elements, up to max_level letters or cap distinct points.
 
@@ -374,9 +369,12 @@ def _opnorms(batch: np.ndarray) -> np.ndarray:
     return np.sqrt((f2 + np.sqrt(inner)) / 2.0)
 
 
+# matrices kept per level once a noncompact word sphere outgrows the budget
+BEAM_WIDTH = 512
+
+
 def approximate_element(S: Sequence[GroupElement], target: GroupElement,
-                        epsilon: float, budget: SearchBudget = SearchBudget(),
-                        beam_width: int = 512) -> ApproxResult:
+                        epsilon: float, budget: SearchBudget = SearchBudget()) -> ApproxResult:
     """Search over word spheres for a word w over S with
     ||w(S) - target|| < epsilon in operator norm.
 
@@ -389,9 +387,10 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     levels keep a distance-sorted beam of near-distinct matrices.  Words
     are recovered by parent pointers, so whole levels stay in numpy arrays.
 
-    On budget exhaustion returns the best candidate found, flagged
-    unsuccessful.  The identity target yields the empty word; an exact
-    generator match yields a length-1 word.
+    When the count budgets run out, returns the best candidate found,
+    flagged unsuccessful; a noncompact search that passes budget.time_cap_s
+    raises TimeCapError.  The identity target yields the empty word; an
+    exact generator match yields a length-1 word.
     """
     k = len(S)
     if k == 0:
@@ -403,7 +402,7 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     if S[0].field == "su2":
         return _approximate_su2_meet(S, target, epsilon, budget)
     table = generator_table(S)
-    exhaust_cap = max(beam_width, min(budget.max_candidates, 2_000_000))
+    exhaust_cap = max(BEAM_WIDTH, min(budget.max_candidates, 2_000_000))
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (last_nib, parent) per level
     mats = np.eye(2, dtype=table.dtype)[None]
     best_dist = d0
@@ -413,6 +412,8 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
 
     t0 = time.monotonic()
     for _ in range(budget.max_word_length):
+        if time.monotonic() - t0 > budget.time_cap_s:
+            raise TimeCapError(budget.time_cap_s, examined)
         child, child_nib, parent = _expand_level(mats, levels, table)
         if child.shape[0] == 0:
             break
@@ -424,20 +425,20 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
             best_dist = opnorm(child[imin] - tm)
             best_level = len(levels)
             best_index = imin
-        if best_dist < epsilon or time.monotonic() - t0 > budget.time_cap_s:
+        if best_dist < epsilon:
             levels.append((child_nib, parent))
             break
         if child.shape[0] <= exhaust_cap:
             levels.append((child_nib, parent))
             mats = child
             continue
-        # prune: nearest beam_width after matrix dedup at coarse resolution
+        # prune: nearest BEAM_WIDTH after matrix dedup at coarse resolution
         order = np.argsort(dists, kind="stable")
         rounded = np.round(child[order].reshape(-1, 4), 3)
         view = np.ascontiguousarray(rounded).view([("", rounded.dtype)] * rounded.shape[1])
         _, first = np.unique(view, return_index=True)
-        keep = order[np.sort(first)[: 4 * beam_width]]
-        keep = keep[np.argsort(dists[keep], kind="stable")][:beam_width]
+        keep = order[np.sort(first)[: 4 * BEAM_WIDTH]]
+        keep = keep[np.argsort(dists[keep], kind="stable")][:BEAM_WIDTH]
         levels.append((child_nib[keep], parent[keep]))
         if best_level == len(levels) - 1:
             # the nearest candidate always survives pruning; track its new slot
@@ -489,15 +490,14 @@ class SteerResult:
 
 
 def steer(phi: Representation, psi: Representation, epsilon: float,
-          budget: SearchBudget = SearchBudget(), seed: int = 0,
-          tol: Tolerances = DEFAULT_TOL, beam_width: int = 512,
-          check_density: bool = True) -> SteerResult:
+          budget: SearchBudget = SearchBudget(), seed: int = 0) -> SteerResult:
     """Find an automorphism moving phi coordinatewise within epsilon of psi.
 
     Stage k (k = n..1) right-multiplies coordinate k by a word in the other
     current coordinates approximating rho(x_k)^-1 psi(x_k); the stage
     requires those coordinates to generate a dense subgroup, which is
-    certified as the stages proceed (SteerStageError on failure).
+    certified as the stages proceed (SteerStageError on failure).  A stage
+    that passes budget.time_cap_s raises TimeCapError.
 
     Best demonstrated in the compact su2 field; in the noncompact fields
     approximation quality for distant targets is budget-limited, so keep
@@ -513,12 +513,11 @@ def steer(phi: Representation, psi: Representation, epsilon: float,
     for k in range(n, 0, -1):
         others = [i for i in range(1, n + 1) if i != k]
         S = [current.images[i - 1] for i in others]
-        if check_density:
-            verdict = certify_dense(S, budget, seed, tol)
-            if not verdict.dense:
-                raise SteerStageError(k, verdict)
+        verdict = certify_dense(S, budget, seed)
+        if not verdict.dense:
+            raise SteerStageError(k, verdict)
         target = current.images[k - 1].inverse() @ psi.images[k - 1]
-        approx = approximate_element(S, target, epsilon, budget, beam_width)
+        approx = approximate_element(S, target, epsilon, budget)
         # remap the word over S to full generator indices
         remapped = Word(tuple((1 if v > 0 else -1) * others[abs(v) - 1]
                               for v in approx.word.letters), n)

@@ -32,10 +32,17 @@ from .freegroup import (
     cyclic_reduce,
     format_word,
 )
-from .sl2 import DEFAULT_TOL, GroupElement, Representation, Tolerances, generator_table
+from .sl2 import DEFAULT_TOL, GroupElement, Representation, generator_table
 from .whitehead import WhiteheadGraph, build_graph, cutpoints, is_connected, union
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
+
+# the twisting words [x2, x3] and [x1, x3] of the two variants
+TWISTING_WORDS = (Word((2, 3, -2, -3), 3), Word((1, 3, -1, -3), 3))
+# largest twist exponent find_twisting_exponent tries
+M_MAX = 10
+# rows per block of the probe's products and of the CSV decoder
+BLOCK_ROWS = 40_000
 
 
 def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -201,20 +208,27 @@ def pair_graph_check(g1: Word, g2: Word) -> bool:
     return is_connected(u) and not cutpoints(u)
 
 
-def find_twisting_exponent(punctures: list[ConjClass], g1: Word, g2: Word,
-                           m_max: int = 10) -> int:
+def _twists(m: int, punctures: list[ConjClass], g1: Word, g2: Word
+            ) -> tuple[list[FreeAutomorphism], list[ConjClass]]:
+    """Both variants' twisting automorphisms at exponent m, and the punctures
+    whose twisted Whitehead graph misses the graph of the variant's word."""
+    phis, bad = [], []
+    for variant, g in ((1, g1), (2, g2)):
+        phis.append(build_phi(m, variant, g))
+        _, details = puncture_whitehead_containment(phis[-1], punctures,
+                                                    build_graph([g], g.rank))
+        bad += [d.puncture for d in details if not d.contained]
+    return phis, bad
+
+
+def find_twisting_exponent(punctures: list[ConjClass], g1: Word, g2: Word) -> int:
     """Smallest m for which both variants' twisted punctures have Whitehead
     graphs containing the respective twisting word's graph.  The value is a
     measured artifact output, not assumed."""
-    n = g1.rank
-    W1 = build_graph([g1], n)
-    W2 = build_graph([g2], n)
-    for m in range(1, m_max + 1):
-        ok1, _ = puncture_whitehead_containment(build_phi(m, 1, g1), punctures, W1)
-        ok2, _ = puncture_whitehead_containment(build_phi(m, 2, g2), punctures, W2)
-        if ok1 and ok2:
+    for m in range(1, M_MAX + 1):
+        if not _twists(m, punctures, g1, g2)[1]:
             return m
-    raise ValueError(f"no twisting exponent <= {m_max} passes containment")
+    raise ValueError(f"no twisting exponent <= {M_MAX} passes containment")
 
 
 @dataclass
@@ -230,25 +244,13 @@ class TwistedPair:
     parabolic_classes_2: list[ConjClass]
 
 
-def twisted_pair(rho0: PuncturedSphereRep, m: int,
-                 g1: Word | None = None, g2: Word | None = None) -> TwistedPair:
-    """rho_i = rho0 after the inverse twist: coordinate j is rho0 evaluated
-    on phi_i^-1(x_j).  Parabolic conjugacy classes of rho_i are exactly the
-    phi_i images of the punctures; their traces stay +-2 in exact integer
-    arithmetic, which is checked."""
-    n = rho0.rank
-    if g1 is None:
-        g1 = Word((2, 3, -2, -3), n)
-    if g2 is None:
-        g2 = Word((1, 3, -1, -3), n)
-    W1 = build_graph([g1], n)
-    W2 = build_graph([g2], n)
-    phi1 = build_phi(m, 1, g1)
-    phi2 = build_phi(m, 2, g2)
-    ok1, det1 = puncture_whitehead_containment(phi1, rho0.punctures, W1)
-    ok2, det2 = puncture_whitehead_containment(phi2, rho0.punctures, W2)
-    if not (ok1 and ok2):
-        bad = [d.puncture for d in det1 + det2 if not d.contained]
+def twisted_pair(rho0: PuncturedSphereRep, m: int) -> TwistedPair:
+    """rho_i = rho0 after the inverse twist by TWISTING_WORDS[i-1]:
+    coordinate j is rho0 evaluated on phi_i^-1(x_j).  Parabolic conjugacy
+    classes of rho_i are exactly the phi_i images of the punctures; their
+    traces stay +-2 in exact integer arithmetic, which is checked."""
+    (phi1, phi2), bad = _twists(m, rho0.punctures, *TWISTING_WORDS)
+    if bad:
         raise TwistingPreconditionError(
             f"puncture containment fails at m={m} for {bad}; increase m")
     out = []
@@ -332,9 +334,9 @@ class PS2Report:
 
     def write_csv(self, path: str, n: int, manifest_line: str | None = None) -> None:
         b = _engine.bits_per_letter(n)
-        # decode blocks of one length; 40,000 rows at most bounds the words held
+        # decode blocks of one length; BLOCK_ROWS at most bounds the words held
         cuts = (np.flatnonzero(np.diff(self.col_length)) + 1).tolist()
-        bounds = sorted({*cuts, *range(0, self.total_classes, 40_000), self.total_classes})
+        bounds = sorted({*cuts, *range(0, self.total_classes, BLOCK_ROWS), self.total_classes})
         with open(path, "w") as f:
             if manifest_line is not None:
                 f.write(f"# {manifest_line}\n")
@@ -390,8 +392,7 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
 _LN2 = math.log(2.0)
 
 
-def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray,
-                                tol: Tolerances) -> np.ndarray:
+def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """Translation lengths 2 ln |lambda_max| from scaled traces t*2^e."""
     a = np.abs(tr_mant)
     log_t = np.where(a > 0, np.log(np.maximum(a, 1e-300)), -np.inf) + exp * _LN2
@@ -400,7 +401,7 @@ def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray,
     out[big] = 2.0 * log_t[big]
     small = ~big
     t = np.exp(log_t[small])
-    hyp = t > 2.0 + tol.tol_par
+    hyp = t > 2.0 + DEFAULT_TOL.tol_par
     half = t / 2.0
     lam = np.where(hyp, half + np.sqrt(np.maximum(half * half - 1.0, 0.0)), 1.0)
     out[small] = 2.0 * np.log(lam)
@@ -442,15 +443,14 @@ def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
 
 def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
                             exp: np.ndarray, W: np.ndarray,
-                            int_mats: list[IntMatrix] | None,
-                            tol: Tolerances) -> None:
+                            int_mats: list[IntMatrix] | None) -> None:
     """Classes whose float trace sits near |2| get re-evaluated: exactly in
     integer arithmetic when available (trace +-2 -> length exactly 0),
     otherwise by the tolerance bands.  Mutates lengths in place."""
     a = np.abs(tr_mant) * np.exp2(np.clip(exp, None, 64).astype(float))
     suspects = np.nonzero((exp <= 8) & (np.abs(a - 2.0) < 1e-3))[0]
     if int_mats is None:
-        lengths[suspects[a[suspects] <= 2.0 + tol.tol_par]] = 0.0
+        lengths[suspects[a[suspects] <= 2.0 + DEFAULT_TOL.tol_par]] = 0.0
         return
     for i, w in zip(suspects, _engine.decode_rows(W[suspects], len(int_mats))):
         m = int_evaluate(int_mats, w.letters)
@@ -464,8 +464,8 @@ def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
 
 def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
               K: float = 50.0, window: int = 2, axis_check: bool = True,
-              int_images: tuple[list[IntMatrix], list[IntMatrix]] | None = None,
-              tol: Tolerances = DEFAULT_TOL, chunk: int = 40_000) -> PS2Report:
+              int_images: tuple[list[IntMatrix], list[IntMatrix]] | None = None
+              ) -> PS2Report:
     """For every primitive conjugacy class c with ||c|| <= length_cap,
     measure translation lengths in both representations, their ratios to
     ||c||, and (optionally) the two-sided K-quasi-geodesic inequalities for
@@ -486,8 +486,8 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
                                           "axis1", "axis2", "kfit1", "kfit2")}
     for l in sorted(keys):
         arr = keys[l]
-        for lo in range(0, arr.shape[0], chunk):
-            ks = arr[lo:lo + chunk]
+        for lo in range(0, arr.shape[0], BLOCK_ROWS):
+            ks = arr[lo:lo + BLOCK_ROWS]
             W = _engine.unpack_keys(ks, l, eng.b)
             N = W.shape[0]
             cols["length"].append(np.full(N, l, dtype=np.int32))
@@ -495,8 +495,8 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
             for slot, table, int_mats in zip("12", tables, ints):
                 P, E = _scaled_word_products(W, table)
                 trm = P[:, 0, 0] + P[:, 1, 1]
-                lengths = _lengths_from_scaled_traces(np.abs(trm), E, tol)
-                _near_parabolic_recheck(lengths, trm, E, W, int_mats, tol)
+                lengths = _lengths_from_scaled_traces(np.abs(trm), E)
+                _near_parabolic_recheck(lengths, trm, E, W, int_mats)
                 if not np.isfinite(lengths).all():
                     raise ValueError(f"non-finite translation length at length {l}")
                 if axis_check:
@@ -545,17 +545,15 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
 
 
 def demo_pipeline(length_cap: int = 12, K: float = 50.0, window: int = 2,
-                  axis_check: bool = True, m: int | None = None,
-                  m_max: int = 10) -> tuple[PS2Report, TwistedPair, int]:
+                  axis_check: bool = True, m: int | None = None
+                  ) -> tuple[PS2Report, TwistedPair, int]:
     """The full real-case pipeline: explicit 4-punctured-sphere group,
-    default twisting words [x2,x3] and [x1,x3], smallest containment-passing
-    twist exponent (unless given), twisted pair, and the PS^2 probe."""
+    twisting words [x2,x3] and [x1,x3], smallest containment-passing twist
+    exponent (unless given), twisted pair, and the PS^2 probe."""
     rho0 = build_fuchsian_4punctured()
-    g1 = Word((2, 3, -2, -3), 3)
-    g2 = Word((1, 3, -1, -3), 3)
     if m is None:
-        m = find_twisting_exponent(rho0.punctures, g1, g2, m_max)
-    pair = twisted_pair(rho0, m, g1, g2)
+        m = find_twisting_exponent(rho0.punctures, *TWISTING_WORDS)
+    pair = twisted_pair(rho0, m)
     report = ps2_probe(pair.rho1, pair.rho2, length_cap, K=K, window=window,
                        axis_check=axis_check,
                        int_images=(pair.int_images_1, pair.int_images_2))

@@ -52,10 +52,6 @@ class WhiteheadGraph:
             adj[v].add(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(mult for (a, b), mult in self.edges.items()
-                   if a == v or b == v) + self.edges.get((v, v), 0)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, WhiteheadGraph) and self.rank == other.rank
                 and self.simple_edges() == other.simple_edges())
@@ -229,6 +225,10 @@ def exponent_gcd(w: Word) -> int:
 
 # -- enumeration -----------------------------------------------------------
 
+# rows per block in iter_primitive_class_letters and in basic_lemma_sweep
+LETTERS_BLOCK = 100_000
+SWEEP_BLOCK = 200_000
+
 
 def primitive_class_keys(n: int, length_cap: int) -> dict[int, np.ndarray]:
     """Packed canonical keys of every primitive conjugacy class (up to
@@ -236,15 +236,15 @@ def primitive_class_keys(n: int, length_cap: int) -> dict[int, np.ndarray]:
     return _engine.PackedEngine(n).primitive_class_keys(length_cap)
 
 
-def iter_primitive_class_letters(n: int, length_cap: int, chunk: int = 100_000):
+def iter_primitive_class_letters(n: int, length_cap: int):
     """Yield (length, letters_array) chunks covering every primitive class;
     rows are nibble-encoded letters (_engine.decode_rows decodes them)."""
     eng = _engine.PackedEngine(n)
     keys = eng.primitive_class_keys(length_cap)
     for l in sorted(keys):
         arr = keys[l]
-        for lo in range(0, arr.shape[0], chunk):
-            yield l, _engine.unpack_keys(arr[lo:lo + chunk], l, eng.b)
+        for lo in range(0, arr.shape[0], LETTERS_BLOCK):
+            yield l, _engine.unpack_keys(arr[lo:lo + LETTERS_BLOCK], l, eng.b)
 
 
 def primitive_class_count(n: int, length_cap: int) -> dict[int, int]:
@@ -271,7 +271,7 @@ class SweepReport:
     counts_by_length: dict[int, int]
 
 
-def basic_lemma_sweep(n: int, length_cap: int, chunk: int = 200_000) -> SweepReport:
+def basic_lemma_sweep(n: int, length_cap: int) -> SweepReport:
     """Check every primitive class of cyclic length <= length_cap against the
     Basic Lemma: its Whitehead graph must be disconnected or have a cutpoint.
     Returns the violation count (expected 0) over the full enumeration.
@@ -281,8 +281,8 @@ def basic_lemma_sweep(n: int, length_cap: int, chunk: int = 200_000) -> SweepRep
     counts = {l: int(k.size) for l, k in sorted(keys.items())}
     violations = 0
     for l in counts:
-        for lo in range(0, counts[l], chunk):
-            W = _engine.unpack_keys(keys[l][lo:lo + chunk], l, eng.b)
+        for lo in range(0, counts[l], SWEEP_BLOCK):
+            W = _engine.unpack_keys(keys[l][lo:lo + SWEEP_BLOCK], l, eng.b)
             violations += eng.count_connected_cutpoint_free(W)
     return SweepReport(n, length_cap, sum(counts.values()), violations, counts)
 

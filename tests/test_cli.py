@@ -154,6 +154,46 @@ class TestSteer:
         assert "stage" in res.output
 
 
+def without_run_details(obj):
+    """A run's JSON minus what may differ between runs with the same seed:
+    the manifest timestamps and a density report's elapsed_s."""
+    obj = dict(obj)
+    obj["manifest"] = {k: v for k, v in obj["manifest"].items()
+                       if k not in ("started_at", "finished_at")}
+    if "report" in obj:
+        obj["report"] = {k: v for k, v in obj["report"].items() if k != "elapsed_s"}
+    return obj
+
+
+class TestSameSeedDeterminism:
+    def run_twice(self, runner, tmp_path, argv):
+        objs = []
+        for i in range(2):
+            out = tmp_path / f"run{i}.json"
+            res = runner.invoke(main, argv + ["--out", str(out)])
+            assert res.exit_code == 0, res.output
+            objs.append(without_run_details(jsonio.loads(out.read_text())))
+        return objs
+
+    def test_density_certify(self, runner, tmp_path):
+        c, s = math.cos(0.5), math.sin(0.5)
+        rep = write_rep(tmp_path / "rep.json", [[[c, -s], [s, c]], [[2, 1], [1, 1]]])
+        a, b = self.run_twice(runner, tmp_path,
+                              ["density", "certify", "--rep", rep, "--seed", "3"])
+        assert a["status"] == "dense"
+        assert a == b
+
+    def test_steer(self, runner, tmp_path):
+        rng = np.random.default_rng(8)
+        phi, psi = (write_rep(tmp_path / f"{name}.json",
+                              [sl2.random_su2(rng).m for _ in range(3)], "su2")
+                    for name in ("phi", "psi"))
+        a, b = self.run_twice(runner, tmp_path,
+                              ["steer", "--phi", phi, "--psi", psi, "--seed", "4"])
+        assert a["success"] is True
+        assert a == b
+
+
 class TestNonmixingDemo:
     def test_small_demo(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -198,6 +238,7 @@ ERROR_CASES = [
     ["density", "certify", "--rep", "{bad}"],
     ["density", "certify", "--rep", "{good}", "--budget-candidates", "0"],
     ["density", "certify", "--rep", "{good}", "--budget-time", "-1"],
+    ["density", "certify", "--rep", "{good}", "--budget-time", "1e-9"],
     ["density", "replay", "{good}"],
     ["density", "replay", "{cert}"],
     ["walk", "--group", "real", "--rep", "{bad}", "--steps", "10"],

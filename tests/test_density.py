@@ -6,6 +6,7 @@ import pytest
 from autrep.density import (
     DensityCertificate,
     SearchBudget,
+    TimeCapError,
     certify_dense,
     links,
     omega_member,
@@ -124,6 +125,16 @@ class TestCertifyDense:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             certify_dense([], BUDGET)
+
+    def test_time_cap_raises(self):
+        # test_irrational_rotation_plus_hyperbolic_dense: dense at a 30 s cap
+        capped = SearchBudget(max_word_length=5, max_candidates=400, time_cap_s=1e-9)
+        with pytest.raises(TimeCapError, match=r"time cap of 1e-09 s hit after 0 words"):
+            certify_dense(dense_real_pair(), capped, seed=0)
+
+    def test_report_has_no_truncated_flag(self):
+        v = certify_dense(sanov_pair(), BUDGET, seed=0)
+        assert "truncated" not in v.report
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from autrep.density import SearchBudget
+from autrep.density import SearchBudget, TimeCapError
 from autrep.dynamics import (
     SteerStageError,
     WalkConfig,
@@ -163,6 +163,13 @@ class TestApproximateElement:
         res = approximate_element(S, random_su2(rng), 1e-6, tiny)
         assert not res.success
         assert res.distance > 0
+
+
+    def test_time_cap_raises_noncompact(self):
+        target = GroupElement([[3, 1], [2, 1]])
+        capped = SearchBudget(max_word_length=12, max_candidates=200_000, time_cap_s=1e-9)
+        with pytest.raises(TimeCapError, match="time cap"):
+            approximate_element(list(sanov_rep().images), target, 1e-3, capped)
 
 
 class TestSteer:
