@@ -217,6 +217,8 @@ class PackedEngine:
         self.moves, self.Ytab, self.a_nib = table.moves, table.Ytab, table.a_nib
         self._table = table
         self.perms = signed_perm_tables(n)
+        # sorted edge masks and their verdicts; the last, 2^64 - 1, is no graph
+        self._verdicts = (np.array([~U64(0)]), np.zeros(1, dtype=bool))
 
     # -- moves ---------------------------------------------------------
 
@@ -357,18 +359,23 @@ class PackedEngine:
         return out
 
     def count_connected_cutpoint_free(self, W: np.ndarray) -> int:
-        """connected_cutpoint_free_mask(W).sum(), running the predicate on one
-        row per distinct simple graph and weighting its verdict by the number
-        of rows that share that graph.  Exact: the predicate only reads the
-        simple graph."""
-        if W.shape[0] == 0:
-            return 0
+        """connected_cutpoint_free_mask(W).sum(), running the predicate once
+        per simple graph not met in earlier calls and weighting each verdict
+        by the number of rows that share that graph.  Exact: the predicate
+        only reads the simple graph."""
         masks = self.edge_masks(W)
         graphs = sorted_unique(masks)
         which = np.searchsorted(graphs, masks)
+        known, verdicts = self._verdicts
+        pos = np.searchsorted(known, graphs)
+        seen = known[pos] == graphs
+        hit = seen & verdicts[pos]
         rep = np.empty(graphs.size, dtype=np.int64)
         rep[which] = np.arange(W.shape[0])  # any row of each graph will do
-        hit = self.connected_cutpoint_free_mask(W[rep])
+        fresh = ~seen
+        hit[fresh] = self.connected_cutpoint_free_mask(W[rep[fresh]])
+        self._verdicts = (np.insert(known, pos[fresh], graphs[fresh]),
+                          np.insert(verdicts, pos[fresh], hit[fresh]))
         return int(np.bincount(which, minlength=graphs.size)[hit].sum())
 
     def connected_cutpoint_free_mask(self, W: np.ndarray) -> np.ndarray:

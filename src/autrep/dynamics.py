@@ -327,6 +327,7 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     u.  Covers |sphere|^2 candidate words at KD-tree cost."""
     from scipy.spatial import cKDTree
 
+    t0 = time.monotonic()
     k = len(S)
     table = generator_table(S)
     half = max(budget.max_word_length // 2, 1)
@@ -336,6 +337,8 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     # breadth-first growth run deep instead of saturating the budget
     resolution = max(epsilon / 8.0, 1e-5)
     levels, mats_levels = _sphere_levels(table, half, cap, resolution)
+    if time.monotonic() - t0 > budget.time_cap_s:
+        raise TimeCapError(budget.time_cap_s, 0)
     all_mats = np.concatenate([np.eye(2, dtype=np.complex128)[None]] + mats_levels)
     # level j occupies all_mats[starts[j]:starts[j + 1]]; index 0 is the empty word
     starts = np.cumsum([1] + [m.shape[0] for m in mats_levels])
@@ -350,6 +353,8 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     # u^-1 target for every u (u unitary: inverse is the conjugate transpose)
     ut = np.einsum("nji,jk->nik", all_mats.conj(), tm)
     dists, idxs = tree.query(_su2_quat(ut), k=1)
+    if time.monotonic() - t0 > budget.time_cap_s:
+        raise TimeCapError(budget.time_cap_s, quats.shape[0] ** 2)
     best_u = int(np.argmin(dists))
     best_v = int(idxs[best_u])
     word = Word(word_at(best_u) + word_at(best_v), k)
@@ -388,9 +393,9 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     are recovered by parent pointers, so whole levels stay in numpy arrays.
 
     When the count budgets run out, returns the best candidate found,
-    flagged unsuccessful; a noncompact search that passes budget.time_cap_s
-    raises TimeCapError.  The identity target yields the empty word; an
-    exact generator match yields a length-1 word.
+    flagged unsuccessful; a search in any field that passes
+    budget.time_cap_s raises TimeCapError.  The identity target yields the
+    empty word; an exact generator match yields a length-1 word.
     """
     k = len(S)
     if k == 0:
@@ -497,7 +502,7 @@ def steer(phi: Representation, psi: Representation, epsilon: float,
     current coordinates approximating rho(x_k)^-1 psi(x_k); the stage
     requires those coordinates to generate a dense subgroup, which is
     certified as the stages proceed (SteerStageError on failure).  A stage
-    that passes budget.time_cap_s raises TimeCapError.
+    that passes budget.time_cap_s raises TimeCapError, in every field.
 
     Best demonstrated in the compact su2 field; in the noncompact fields
     approximation quality for distant targets is budget-limited, so keep

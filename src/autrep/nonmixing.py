@@ -43,6 +43,8 @@ TWISTING_WORDS = (Word((2, 3, -2, -3), 3), Word((1, 3, -1, -3), 3))
 M_MAX = 10
 # rows per block of the probe's products and of the CSV decoder
 BLOCK_ROWS = 40_000
+# entries per entry array in one block of _axis_checks
+AXIS_BLOCK = 10_000
 
 
 def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -368,13 +370,16 @@ class PS2Report:
 
 
 def _scaled_step(P: np.ndarray, E: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """One step of a scaled product mant * 2^E: multiply the mantissas by G,
-    then move the power of two of each entry maximum into E (in place).
-    Returns the new mantissas, whose entries stay near unit scale."""
-    P = np.einsum("nij,njk->nik", P, G)
-    _, ex = np.frexp(np.abs(P).max(axis=(1, 2)))
+    """One step of scaled products mant * 2^E; rows 0-3 of P and G hold the
+    entries 00, 01, 10, 11.  Multiplies P by G, then moves the power of two of
+    each entry maximum into E (in place): an exact rescale to unit scale."""
+    a, b, c, d = P
+    ga, gb, gc, gd = G
+    P = np.stack((a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd))
+    _, ex = np.frexp(np.abs(P).max(axis=0))
     E += ex
-    return P * np.exp2(-ex.astype(float))[:, None, None]
+    P *= np.exp2(-ex.astype(float))
+    return P
 
 
 def _scaled_word_products(W: np.ndarray, table: np.ndarray):
@@ -382,11 +387,13 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
     with true matrix = mant * 2^exp, so arbitrarily long products never
     overflow."""
     N, l = W.shape
-    P = np.broadcast_to(np.eye(2, dtype=table.dtype), (N, 2, 2)).copy()
+    comp = table.reshape(-1, 4).T.copy()  # comp[e, c]: entry e of table[c]
+    P = np.zeros((4, N), dtype=table.dtype)
+    P[[0, 3]] = 1.0
     E = np.zeros(N, dtype=np.int64)
     for j in range(l):
-        P = _scaled_step(P, E, table[W[:, j]])
-    return P, E
+        P = _scaled_step(P, E, comp[:, W[:, j]])
+    return P.T.reshape(N, 2, 2), E
 
 
 _LN2 = math.log(2.0)
@@ -411,33 +418,42 @@ def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray) -> np.ndar
 def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided K-quasi-geodesic test over all axis-point pairs (s, t),
-    s < t <= window*||c||.
+    s < t <= window*||c||; returns (pass mask, best-fitting K) per row.
 
-    Each segment product is accumulated from its own letters (never as a
-    quotient of long prefixes, which would cancel catastrophically) in
-    scaled arithmetic; d(tau(s), tau(t)) = arccosh(||seg||_F^2 / 2) with the
-    height-1 basepoint, in log scale for long segments.  Returns
-    (pass mask, best-fitting K) per row.
-    """
+    d(tau(s), tau(t)) = arccosh(||seg||_F^2 / 2) from the height-1 basepoint,
+    in log scale when long; seg is multiplied out from its own letters (a
+    quotient of prefixes would cancel catastrophically).  Position t reads
+    letter (t-1) mod ||c||, so seg(s, t) depends only on (s mod ||c||, t - s)
+    and, the verdict being an AND and the fit a max, only offsets s < ||c||
+    are computed, advancing together in blocks of about AXIS_BLOCK entries.
+    Each step rescales by an exact power of two, so every segment gets the
+    mantissa and exponent it would get multiplied out alone."""
     N, l = W.shape
     T = window * l
+    S = min(l, T)
     ok = np.ones(N, dtype=bool)
     kfit = np.zeros(N, dtype=float)
-    for s in range(T):
-        P = np.broadcast_to(np.eye(2, dtype=table.dtype), (N, 2, 2)).copy()
-        E = np.zeros(N, dtype=np.int64)
-        for t in range(s + 1, T + 1):
-            P = _scaled_step(P, E, table[W[:, (t - 1) % l]])
-            f2 = (np.abs(P) ** 2).sum(axis=(1, 2))
-            logX = np.log(np.maximum(f2 / 2.0, 1e-300)) + E * (2.0 * _LN2)
+    comp = table.reshape(-1, 4).T.copy()
+    rows = max(1, AXIS_BLOCK // max(S, 1))
+    for lo in range(0, N, rows):
+        Wb = W[lo:lo + rows]
+        nb = Wb.shape[0]
+        G = comp[:, Wb.T[np.arange(T) % l]].reshape(4, -1)  # column t*nb + r: position t, row r
+        P = np.zeros((4, S * nb), dtype=table.dtype)
+        P[[0, 3]] = 1.0
+        E = np.zeros(S * nb, dtype=np.int64)
+        for delta in range(1, T + 1):
+            live = min(S, T - delta + 1) * nb  # column s*nb + r: offset s, row r
+            E = E[:live]
+            P = _scaled_step(P[:, :live], E, G[:, (delta - 1) * nb:][:, :live])
+            logX = np.log(np.maximum((np.abs(P) ** 2).sum(axis=0) / 2.0, 1e-300)) + E * (2 * _LN2)
             d = np.where(logX < 30.0,
                          np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
                          logX + _LN2)
-            delta = float(t - s)
-            ok &= (d <= K * delta + K) & (d >= delta / K - K)
-            k_up = d / (delta + 1.0)
-            k_low = (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0
-            np.maximum(kfit, np.maximum(k_up, k_low), out=kfit)
+            good = (d <= K * delta + K) & (d >= delta / K - K)
+            fit = np.maximum(d / (delta + 1.0), (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0)
+            ok[lo:lo + nb] &= good.reshape(-1, nb).all(axis=0)
+            kfit[lo:lo + nb] = np.maximum(kfit[lo:lo + nb], fit.reshape(-1, nb).max(axis=0))
     return ok, kfit
 
 
@@ -495,15 +511,13 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
             for slot, table, int_mats in zip("12", tables, ints):
                 P, E = _scaled_word_products(W, table)
                 trm = P[:, 0, 0] + P[:, 1, 1]
-                lengths = _lengths_from_scaled_traces(np.abs(trm), E)
+                lengths = _lengths_from_scaled_traces(trm, E)
                 _near_parabolic_recheck(lengths, trm, E, W, int_mats)
                 if not np.isfinite(lengths).all():
                     raise ValueError(f"non-finite translation length at length {l}")
+                ok, kf = np.zeros(N, dtype=bool), np.zeros(N, dtype=float)
                 if axis_check:
                     ok, kf = _axis_checks(W, table, window, K)
-                else:
-                    ok = np.zeros(N, dtype=bool)
-                    kf = np.zeros(N, dtype=float)
                 cols["l" + slot].append(lengths)
                 cols["axis" + slot].append(ok)
                 cols["kfit" + slot].append(kf)
@@ -523,7 +537,7 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
 
     zeros1 = np.nonzero(col["l1"] == 0.0)[0]
     zeros2 = np.nonzero(col["l2"] == 0.0)[0]
-    report = PS2Report(
+    return PS2Report(
         rank=n, field=rho1.field, length_cap=length_cap, K=K, window=window,
         total_classes=total,
         counts_by_length={l: int(k.size) for l, k in sorted(keys.items())},
@@ -541,7 +555,6 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
         col_axis1=col["axis1"], col_axis2=col["axis2"],
         col_kfit1=col["kfit1"], col_kfit2=col["kfit2"],
     )
-    return report
 
 
 def demo_pipeline(length_cap: int = 12, K: float = 50.0, window: int = 2,

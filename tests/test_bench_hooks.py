@@ -7,9 +7,10 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
 import pytest
 
-from autrep import density, dynamics, nonmixing, whitehead
+from autrep import _engine, density, dynamics, nonmixing, whitehead
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -49,3 +50,36 @@ BENCH_CALLS = [
                          ids=[fn.__qualname__ for fn, *_ in BENCH_CALLS])
 def test_bench_call_form_binds(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_probe_kernel_calls_carry_what_the_hooks_read(monkeypatch):
+    # the traced run counts products from args[0] and axis pairs from
+    # args[0] and args[2]; a keyword call, or a call on rows other than the
+    # class rows, would miscount
+    calls = {"_scaled_word_products": [], "_axis_checks": []}
+    for name, log in calls.items():
+        real = getattr(nonmixing, name)
+
+        def recorder(*args, _real=real, _log=log, **kwargs):
+            _log.append((args, kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(nonmixing, name, recorder)
+    pair = nonmixing.twisted_pair(nonmixing.build_fuchsian_4punctured(), 2)
+    report = nonmixing.ps2_probe(pair.rho1, pair.rho2, 4, K=50.0, window=2)
+    b = _engine.bits_per_letter(3)
+    want = sorted(tuple(row) for i in range(report.total_classes)
+                  for row in _engine.unpack_keys(report.col_keys[i:i + 1],
+                                                 int(report.col_length[i]), b))
+    for name, log in calls.items():
+        by_table = {}
+        for args, kwargs in log:
+            W, table = args[0], args[1]
+            assert isinstance(W, np.ndarray) and W.ndim == 2 and W.dtype == np.uint8
+            assert isinstance(table, np.ndarray) and table.shape[1:] == (2, 2)
+            assert not {"W", "table", "window"} & set(kwargs)
+            if name == "_axis_checks":
+                assert args[2] == 2
+            by_table.setdefault(table.tobytes(), []).extend(map(tuple, W))
+        assert len(by_table) == 2
+        for rows in by_table.values():
+            assert sorted(rows) == want

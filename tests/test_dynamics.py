@@ -171,6 +171,13 @@ class TestApproximateElement:
         with pytest.raises(TimeCapError, match="time cap"):
             approximate_element(list(sanov_rep().images), target, 1e-3, capped)
 
+    def test_time_cap_raises_su2(self):
+        rng = np.random.default_rng(7)
+        S = [random_su2(rng) for _ in range(2)]
+        capped = SearchBudget(40, 200_000, 1e-9)
+        with pytest.raises(TimeCapError, match="time cap"):
+            approximate_element(S, random_su2(rng), 1e-9, capped)
+
 
 class TestSteer:
     def test_identity_case(self):

@@ -185,6 +185,28 @@ class TestGraphPredicate:
             assert eng.count_connected_cutpoint_free(W) == want
             assert eng.count_connected_cutpoint_free(W[:0]) == 0
 
+    def test_verdicts_carry_across_calls(self):
+        rng = random.Random(5)
+        n = 4
+        comm = reduce([v for j in range(2, n + 1) for v in (1, j, -1, -j)], n)
+        words = [comm] + [w for w in (random_core(rng, n, 12) for _ in range(400))
+                          if len(w) == 12]
+        W = np.array([[_engine.nib_of_letter(v) for v in w.letters] for w in words],
+                     dtype=np.uint8)
+        eng = _engine.PackedEngine(n)
+        want = int(eng.connected_cutpoint_free_mask(W).sum())
+        tested = []
+        real = eng.connected_cutpoint_free_mask
+        eng.connected_cutpoint_free_mask = lambda rows: (tested.append(rows.shape[0]),
+                                                         real(rows))[1]
+        half = W.shape[0] // 2
+        got = eng.count_connected_cutpoint_free(W[:half])
+        got += eng.count_connected_cutpoint_free(np.roll(W[half:], 3, axis=1))
+        assert got == want > 0
+        assert sum(tested) == np.unique(eng.edge_masks(W)).size
+        assert eng.count_connected_cutpoint_free(W) == want
+        assert sum(tested[2:]) == 0
+
     @given(cyclic_words((2, 3, 4), 12))
     def test_edge_masks_are_the_simple_graph(self, nw):
         n, w = nw

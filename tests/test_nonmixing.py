@@ -206,6 +206,95 @@ class TestScaledProducts:
         assert np.abs(P[0] * np.exp2(float(E[0])) - want).max() <= 1e-12 * bound
 
 
+def _mul2(A, B):
+    # written out: numpy's `@` on 2x2 float64 goes through BLAS, whose fused
+    # multiply-adds round differently from a separate product and sum
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _distance(f2, e):
+    # d = arccosh(||seg||_F^2 / 2) for seg = mant * 2^e, in log scale when long
+    logX = np.log(np.maximum(f2 / 2.0, 1e-300)) + e * (2.0 * math.log(2.0))
+    return np.where(logX < 30.0,
+                    np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
+                    logX + math.log(2.0))
+
+
+def scalar_axis_checks(W, table, window, K):
+    """Every pair 0 <= s < t <= window*l, each segment multiplied out on its
+    own from its letters, one row at a time, with a power-of-two rescale
+    after every letter."""
+    N, l = W.shape
+    T = window * l
+    mats = table.tolist()
+    ok = np.ones(N, dtype=bool)
+    kfit = np.zeros(N)
+    for r in range(N):
+        f2, exps, deltas = [], [], []
+        for s in range(T):
+            P, e = ((1.0, 0.0), (0.0, 1.0)), 0
+            for t in range(s + 1, T + 1):
+                P = _mul2(P, mats[W[r, (t - 1) % l]])
+                ex = math.frexp(max(abs(x) for row in P for x in row))[1]
+                e += ex
+                P = tuple(tuple(x * 2.0 ** -ex for x in row) for row in P)
+                f2.append(sum(abs(x) * abs(x) for row in P for x in row))
+                exps.append(e)
+                deltas.append(float(t - s))
+        d = _distance(np.array(f2), np.array(exps, dtype=np.int64))
+        delta = np.array(deltas)
+        ok[r] = np.all((d <= K * delta + K) & (d >= delta / K - K))
+        k_low = (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0
+        kfit[r] = max(0.0, float(np.max(np.maximum(d / (delta + 1.0), k_low))))
+    return ok, kfit
+
+
+def cyclic_rows(rng, N, l, k2=6):
+    """N random cyclically reduced rows of nibbles (nibble c ^ 1 inverts c)."""
+    rows = []
+    while len(rows) < N:
+        row = [int(rng.integers(k2))]
+        while len(row) < l:
+            c = int(rng.integers(k2))
+            if c != row[-1] ^ 1:
+                row.append(c)
+        if l == 1 or row[-1] != row[0] ^ 1:
+            rows.append(row)
+    return np.array(rows, dtype=np.uint8)
+
+
+class TestAxisChecks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 8), st.sampled_from([1, 2, 3]), st.integers(1, 4),
+           st.sampled_from([2.0, 5.0, 50.0]))
+    def test_matches_scalar_oracle(self, field, seed, l, window, N, K):
+        rng = np.random.default_rng(seed)
+        table = generator_table([random_element(rng, field, 1.0) for _ in range(3)])
+        W = cyclic_rows(rng, N, l)
+        ok, kfit = nonmixing._axis_checks(W, table, window, K)
+        want_ok, want_kfit = scalar_axis_checks(W, table, window, K)
+        assert np.array_equal(ok, want_ok)
+        if field == "real":
+            assert np.array_equal(kfit, want_kfit)
+        else:
+            np.testing.assert_allclose(kfit, want_kfit, rtol=1e-12, atol=0)
+
+    def test_rows_across_block_seams(self):
+        rng = np.random.default_rng(3)
+        table = generator_table([random_element(rng, "real", 1.0) for _ in range(3)])
+        l = 8
+        N = 2 * (nonmixing.AXIS_BLOCK // l) + 3
+        W = cyclic_rows(rng, N, l)
+        ok, kfit = nonmixing._axis_checks(W, table, 1, 3.0)
+        want_ok, want_kfit = scalar_axis_checks(W, table, 1, 3.0)
+        assert 0 < ok.sum() < N
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(kfit, want_kfit)
+
+
 class TestProbe:
     def test_diagonal_oracle(self):
         # diagonal rep with prime eigenvalues: translation length of a class
