@@ -61,7 +61,7 @@ class SearchBudget:
     time_cap_s: float = 60.0
 
     def __post_init__(self):
-        if self.max_word_length < 1 or self.max_candidates < 1 or self.time_cap_s <= 0:
+        if self.max_word_length < 1 or self.max_candidates < 1 or not self.time_cap_s > 0:
             raise ValueError("budget fields must be positive")
 
 

@@ -62,6 +62,13 @@ class WalkConfig:
             raise ValueError("steps must be >= 0 and stride positive")
         if self.move_set not in ("nielsen", "whitehead"):
             raise ValueError("move_set must be 'nielsen' or 'whitehead'")
+        for name in ("overflow_guard", "det_guard"):
+            _check_positive(name, getattr(self, name))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -85,14 +92,13 @@ class WalkRun:
                          for s in self.samples])
 
 
-def _trace_sample(step: int, mats: list[np.ndarray], field_tag: str) -> WalkSample:
-    def tr(m):
-        t = m[0, 0] + m[1, 1]
-        return float(t.real) if field_tag == "real" else complex(t)
-
-    n = len(mats)
-    gens = tuple(tr(m) for m in mats)
-    pairs = tuple(tr(mats[i] @ mats[j]) for i in range(n) for j in range(i + 1, n))
+def _trace_sample(step: int, mats: list[tuple], field_tag: str) -> WalkSample:
+    """Traces of the 4-tuple matrices (a, b, c, d) and of their pair
+    products: tr(pq) = p0 q0 + p1 q2 + p2 q1 + p3 q3."""
+    cast = float if field_tag == "real" else complex
+    gens = tuple(cast(m[0] + m[3]) for m in mats)
+    pairs = tuple(cast(p[0] * q[0] + p[1] * q[2] + p[2] * q[1] + p[3] * q[3])
+                  for i, p in enumerate(mats) for q in mats[i + 1:])
     return WalkSample(step, gens, pairs)
 
 
@@ -111,12 +117,43 @@ def _move_programs(rank: int, move_set: str) -> list[list[tuple[int, tuple[int, 
     return programs
 
 
-def _project_unitary(m: np.ndarray) -> np.ndarray:
-    """Nearest-in-O(eps) SU(2) matrix: normalize the first row."""
-    a, b = m[0, 0], m[0, 1]
-    s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    a, b = a / s, b / s
-    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+# moves drawn per rng.integers call; numpy draws bounded integers one at a
+# time, so chunked draws give the same stream as one call per step
+WALK_DRAW_CHUNK = 4096
+
+
+def _walk_step(mats: list[tuple], prog, is_su2: bool) -> list[tuple]:
+    """One move on 4-tuple matrices (a, b, c, d), in scalar arithmetic with a
+    fixed operation order: products (a e + b g, a f + b h, c e + d g,
+    c f + d h) letter by letter, inverses (d, -b, -c, a), and for su2 the
+    re-projection of the first row (a, b) / sqrt(|a|^2 + |b|^2)."""
+    new = list(mats)
+    for i, letters in prog:
+        v = letters[0]
+        a, b, c, d = mats[abs(v) - 1]
+        if v < 0:
+            a, b, c, d = d, -b, -c, a
+        for v in letters[1:]:
+            e, f, g, h = mats[abs(v) - 1]
+            if v < 0:
+                e, f, g, h = h, -f, -g, e
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        if is_su2:
+            s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            a, b = a / s, b / s
+            c, d = -b.conjugate(), a.conjugate()
+        new[i] = (a, b, c, d)
+    return new
+
+
+def _escaped(mats: list[tuple], guard: float, det_guard: float) -> bool:
+    """Some entry exceeds the overflow guard, or some determinant drifted
+    beyond det_guard at its entry scale (a NaN determinant counts as drift)."""
+    for a, b, c, d in mats:
+        top = max(abs(a), abs(b), abs(c), abs(d))
+        if top > guard or not abs(a * d - b * c - 1.0) <= det_guard * max(1.0, top * top):
+            return True
+    return False
 
 
 def random_walk(rep: Representation, cfg: WalkConfig) -> WalkRun:
@@ -126,44 +163,30 @@ def random_walk(rep: Representation, cfg: WalkConfig) -> WalkRun:
     When any matrix entry exceeds the overflow guard (noncompact fields),
     the tuple restarts from the initial representation and the step index
     is logged.
+
+    Matrices are 4-tuples of Python scalars stepped by _walk_step, whose
+    correctly rounded operations in a fixed order make a seed give the same
+    walk on every machine.  Moves are drawn WALK_DRAW_CHUNK at a time with
+    rng.integers(len(programs), size=...), the same stream as one draw per
+    step, so memory stays bounded for any number of steps.
     """
     rng = np.random.default_rng(cfg.seed)
     programs = _move_programs(rep.rank, cfg.move_set)
-    init = [g.m.copy() for g in rep.images]
-    mats = [m.copy() for m in init]
+    init = [tuple(g.m.ravel().tolist()) for g in rep.images]
+    mats = init
     run = WalkRun(cfg, rep.rank, rep.field, [])
     run.samples.append(_trace_sample(0, mats, rep.field))
-    guard = cfg.overflow_guard
     is_su2 = rep.field == "su2"
-    for step in range(1, cfg.steps + 1):
-        prog = programs[rng.integers(len(programs))]
-        new = list(mats)
-        for (i, letters) in prog:
-            acc = None
-            for v in letters:
-                m = mats[abs(v) - 1]
-                if v < 0:
-                    a, b, c, d = m.ravel()
-                    m = np.array([[d, -b], [-c, a]])
-                acc = m if acc is None else acc @ m
-            new[i] = _project_unitary(acc) if is_su2 else acc
-        mats = new
-        if not is_su2:
-            escaped = False
-            for m in mats:
-                top = float(np.abs(m).max())
-                if top > guard:
-                    escaped = True
-                    break
-                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-                if abs(det - 1.0) > cfg.det_guard * max(1.0, top * top):
-                    escaped = True
-                    break
-            if escaped:
+    step = 0
+    while step < cfg.steps:
+        for p in rng.integers(len(programs), size=min(WALK_DRAW_CHUNK, cfg.steps - step)).tolist():
+            step += 1
+            mats = _walk_step(mats, programs[p], is_su2)
+            if not is_su2 and _escaped(mats, cfg.overflow_guard, cfg.det_guard):
                 run.restarts.append(step)
-                mats = [m.copy() for m in init]
-        if step % cfg.record_stride == 0:
-            run.samples.append(_trace_sample(step, mats, rep.field))
+                mats = init
+            if step % cfg.record_stride == 0:
+                run.samples.append(_trace_sample(step, mats, rep.field))
     return run
 
 
@@ -319,12 +342,23 @@ def _backtrack(levels, level: int, index: int) -> tuple[int, ...]:
     return tuple(_engine.letter_of_nib(c) for c in reversed(nibs_rev))
 
 
+# every MEET_SAMPLE_STRIDE-th left factor is queried first; its nearest
+# distance bounds the query over all left factors
+MEET_SAMPLE_STRIDE = 256
+
+
 def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
                           epsilon: float, budget: SearchBudget) -> ApproxResult:
     """Meet-in-the-middle basic approximation for the compact field: any
     product u*v with u, v in a word sphere is scored as the quaternion
     distance from v to u^-1 target, found by one nearest-neighbor query per
-    u.  Covers |sphere|^2 candidate words at KD-tree cost."""
+    u.  Covers |sphere|^2 candidate words at KD-tree cost.
+
+    Only the best (u, v) pair is used, so the query runs in two passes: the
+    strided sample of left factors gives a distance the true minimum cannot
+    exceed, and the query over all u is bounded just above it.  No u at the
+    minimum is pruned, so the pair, word, distance and `examined` are those
+    of the unbounded query."""
     from scipy.spatial import cKDTree
 
     t0 = time.monotonic()
@@ -352,7 +386,11 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     tm = target.m.astype(np.complex128)
     # u^-1 target for every u (u unitary: inverse is the conjugate transpose)
     ut = np.einsum("nji,jk->nik", all_mats.conj(), tm)
-    dists, idxs = tree.query(_su2_quat(ut), k=1)
+    uq = _su2_quat(ut)
+    sample_min = float(tree.query(uq[::MEET_SAMPLE_STRIDE], k=1)[0].min())
+    # the bound is strict; an exact match (distance 0) queries unbounded
+    bound = sample_min * (1.0 + 1e-9) or np.inf
+    dists, idxs = tree.query(uq, k=1, distance_upper_bound=bound)
     if time.monotonic() - t0 > budget.time_cap_s:
         raise TimeCapError(budget.time_cap_s, quats.shape[0] ** 2)
     best_u = int(np.argmin(dists))
@@ -397,6 +435,7 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     budget.time_cap_s raises TimeCapError.  The identity target yields the
     empty word; an exact generator match yields a length-1 word.
     """
+    _check_positive("epsilon", epsilon)
     k = len(S)
     if k == 0:
         raise ValueError("S must be nonempty")
@@ -508,6 +547,7 @@ def steer(phi: Representation, psi: Representation, epsilon: float,
     approximation quality for distant targets is budget-limited, so keep
     targets in a bounded region.
     """
+    _check_positive("epsilon", epsilon)
     if phi.rank != psi.rank or phi.field != psi.field:
         raise ValueError("representations must share rank and field")
     n = phi.rank

@@ -250,6 +250,10 @@ ERROR_CASES = [
     ["nonmixing", "demo", "-L", "4", "--m", "0"],
     ["ps2", "probe", "--rho1", "{bad}", "--rho2", "{good}", "-L", "3"],
     ["ps2", "probe", "--rho1", "{good}", "--rho2", "{good}", "-L", "0"],
+    ["walk", "--group", "real", "--guard", "nan"],
+    ["steer", "--epsilon", "nan", "--phi", "{good}", "--psi", "{good}"],
+    ["steer", "--budget-time", "nan", "--phi", "{good}", "--psi", "{good}"],
+    ["density", "certify", "--rep", "{good}", "--budget-time", "nan"],
 ]
 
 
@@ -272,6 +276,11 @@ class TestErrorPath:
         res = runner.invoke(main, ["walk", "--group", "real", "--rep", str(path)])
         assert res.exit_code == 2
         assert "finite" in res.stderr
+
+    def test_walk_nan_guard_names_the_guard(self, runner):
+        res = runner.invoke(main, ["walk", "--group", "real", "--n", "2", "--guard", "nan"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ") and "overflow_guard" in res.stderr
 
 
 class TestHelp:

@@ -132,6 +132,11 @@ class TestCertifyDense:
         with pytest.raises(TimeCapError, match=r"time cap of 1e-09 s hit after 0 words"):
             certify_dense(dense_real_pair(), capped, seed=0)
 
+    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+    def test_time_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError):
+            SearchBudget(6, 2000, cap)
+
     def test_report_has_no_truncated_flag(self):
         v = certify_dense(sanov_pair(), BUDGET, seed=0)
         assert "truncated" not in v.report

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autrep import dynamics
 from autrep.density import SearchBudget, TimeCapError
 from autrep.dynamics import (
     SteerStageError,
     WalkConfig,
+    _approximate_su2_meet,
+    _move_programs,
+    _walk_step,
     approximate_element,
     commutator_trace,
     ks_against_haar_traces,
@@ -76,6 +85,92 @@ class TestWalk:
         step0 = lines[2].split(",")
         assert step0[0] == "0"
         assert float(step0[1]) == run.samples[0].gen_traces[0]
+
+    @pytest.mark.parametrize("guard", ["overflow_guard", "det_guard"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_guards_must_be_finite_and_positive(self, guard, value):
+        with pytest.raises(ValueError, match=guard):
+            WalkConfig(steps=10, **{guard: value})
+
+
+def _oracle_step(mats, prog, is_su2):
+    """The numpy step the scalar kernel replaced: 2x2 arrays multiplied with
+    @, su2 products re-projected by normalizing the first row."""
+    new = list(mats)
+    for (i, letters) in prog:
+        acc = None
+        for v in letters:
+            m = mats[abs(v) - 1]
+            if v < 0:
+                a, b, c, d = m.ravel()
+                m = np.array([[d, -b], [-c, a]])
+            acc = m if acc is None else acc @ m
+        if is_su2:
+            a, b = acc[0, 0], acc[0, 1]
+            s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            a, b = a / s, b / s
+            acc = np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+        new[i] = acc
+    return new
+
+
+class TestScalarWalkKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(["real", "complex", "su2"]), rank=st.integers(2, 3),
+           move_set=st.sampled_from(["nielsen", "whitehead"]),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 3.0), data=st.data())
+    def test_step_matches_numpy_oracle(self, field, rank, move_set, seed, scale, data):
+        rng = np.random.default_rng(seed)
+        reps = [random_su2(rng) if field == "su2" else random_element(rng, field, scale)
+                for _ in range(rank)]
+        programs = _move_programs(rank, move_set)
+        prog = programs[data.draw(st.integers(0, len(programs) - 1))]
+        got = _walk_step([tuple(g.m.ravel().tolist()) for g in reps], prog, field == "su2")
+        want = _oracle_step([g.m for g in reps], prog, field == "su2")
+        for (i, letters) in prog:
+            # rounding of a product is relative to its entrywise |A1|...|Ak|
+            # scale, which cancellation can leave far above single entries
+            scale_i = np.linalg.multi_dot(
+                [np.abs(reps[v - 1].m if v > 0 else reps[-v - 1].inverse().m)
+                 for v in letters] + [np.eye(2)])
+            assert np.allclose(np.array(got[i]), want[i].ravel(), rtol=0.0,
+                               atol=1e-12 * scale_i.max())
+        assert all(got[j] == tuple(g.m.ravel().tolist()) for j, g in enumerate(reps)
+                   if j not in {i for i, _ in prog})
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("move_set", ["nielsen", "whitehead"])
+    def test_chunked_draws_equal_per_step_draws(self, rank, move_set):
+        n = len(_move_programs(rank, move_set))
+        total = dynamics.WALK_DRAW_CHUNK + 37
+        per_step = np.random.default_rng(rank)
+        want = [int(per_step.integers(n)) for _ in range(total)]
+        chunked = np.random.default_rng(rank)
+        got = []
+        while len(got) < total:
+            got += chunked.integers(n, size=min(dynamics.WALK_DRAW_CHUNK,
+                                                total - len(got))).tolist()
+        assert got == want
+
+    def test_walk_across_a_chunk_boundary_matches_per_step_walk(self):
+        rng = np.random.default_rng(20)
+        rep = Representation([random_element(rng, "real", 0.5) for _ in range(2)])
+        steps = dynamics.WALK_DRAW_CHUNK + 50
+        cfg = WalkConfig(steps=steps, seed=20, record_stride=7, overflow_guard=64.0)
+        run = random_walk(rep, cfg)
+        programs = _move_programs(2, "nielsen")
+        draws = np.random.default_rng(20)
+        init = [tuple(g.m.ravel().tolist()) for g in rep.images]
+        mats, restarts, finals = init, [], []
+        for step in range(1, steps + 1):
+            mats = _walk_step(mats, programs[draws.integers(len(programs))], False)
+            if dynamics._escaped(mats, cfg.overflow_guard, cfg.det_guard):
+                restarts.append(step)
+                mats = init
+            if step % 7 == 0:
+                finals.append(mats[0][0] + mats[0][3])
+        assert run.restarts == restarts and len(restarts) > 0
+        assert [s.gen_traces[0] for s in run.samples[1:]] == finals
 
 
 class TestCommutatorTrace:
@@ -178,8 +273,59 @@ class TestApproximateElement:
         with pytest.raises(TimeCapError, match="time cap"):
             approximate_element(S, random_su2(rng), 1e-9, capped)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.1])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        rng = np.random.default_rng(21)
+        S = [random_su2(rng) for _ in range(2)]
+        with pytest.raises(ValueError, match="epsilon"):
+            approximate_element(S, random_su2(rng), epsilon, BUDGET)
+
+
+class _UnboundedTree(scipy.spatial.cKDTree):
+    """The tree with every query unbounded: the reference for the bounded
+    meet query."""
+
+    def query(self, x, k=1, **kwargs):
+        kwargs.pop("distance_upper_bound", None)
+        return super().query(x, k, **kwargs)
+
+
+class TestBoundedMeetQuery:
+    def _both(self, monkeypatch, S, target, budget):
+        bounded = _approximate_su2_meet(S, target, 0.1, budget)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.spatial, "cKDTree", _UnboundedTree)
+            unbounded = _approximate_su2_meet(S, target, 0.1, budget)
+        return bounded, unbounded
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("budget", [SearchBudget(40, 50_000, 60.0),
+                                        SearchBudget(2, 2000, 60.0),
+                                        SearchBudget(8, 2000, 60.0)],
+                             ids=["large", "below-stride", "mid"])
+    def test_same_result_as_unbounded_query(self, monkeypatch, seed, budget):
+        rng = np.random.default_rng(100 + seed)
+        S = [random_su2(rng) for _ in range(2)]
+        # below the stride the sample holds only the identity, which is the
+        # random target's best left factor on seeds 1 and 2: a bound with no
+        # headroom above the sample minimum would prune it there
+        targets = [random_su2(rng), GroupElement.identity("su2"), S[0], S[1].inverse()]
+        for target in targets:
+            bounded, unbounded = self._both(monkeypatch, S, target, budget)
+            assert bounded.word == unbounded.word
+            assert bounded.distance == unbounded.distance
+            assert bounded.success == unbounded.success
+            assert bounded.examined == unbounded.examined
+
 
 class TestSteer:
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.1])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        rng = np.random.default_rng(22)
+        phi = Representation([random_su2(rng) for _ in range(3)])
+        with pytest.raises(ValueError, match="epsilon"):
+            steer(phi, phi, epsilon, BUDGET)
+
     def test_identity_case(self):
         rng = np.random.default_rng(16)
         phi = Representation([random_su2(rng) for _ in range(3)])
