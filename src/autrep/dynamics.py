@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import _engine
 from .density import DensityVerdict, SearchBudget, TimeCapError, certify_dense, opnorm
@@ -177,14 +176,23 @@ def random_walk(rep: Representation, cfg: WalkConfig) -> WalkRun:
     run = WalkRun(cfg, rep.rank, rep.field, [])
     run.samples.append(_trace_sample(0, mats, rep.field))
     is_su2 = rep.field == "su2"
+    written = [[i for i, _ in prog] for prog in programs]
+    # a coordinate the move did not write passed the guard at an earlier
+    # step, unless it is still that of an initial tuple that fails it
+    init_escaped = not is_su2 and _escaped(init, cfg.overflow_guard, cfg.det_guard)
+    check_all = init_escaped
     step = 0
     while step < cfg.steps:
         for p in rng.integers(len(programs), size=min(WALK_DRAW_CHUNK, cfg.steps - step)).tolist():
             step += 1
             mats = _walk_step(mats, programs[p], is_su2)
-            if not is_su2 and _escaped(mats, cfg.overflow_guard, cfg.det_guard):
+            if not is_su2 and _escaped(mats if check_all else [mats[i] for i in written[p]],
+                                       cfg.overflow_guard, cfg.det_guard):
                 run.restarts.append(step)
                 mats = init
+                check_all = init_escaped
+            else:
+                check_all = False
             if step % cfg.record_stride == 0:
                 run.samples.append(_trace_sample(step, mats, rep.field))
     return run
@@ -248,7 +256,12 @@ def rejection_sample_su2_traces(rng: np.random.Generator, size: int) -> np.ndarr
 
 
 def ks_against_haar_traces(samples: Iterable[float]):
-    """Kolmogorov-Smirnov test of trace samples against the Haar law."""
+    """Kolmogorov-Smirnov test of trace samples against the Haar law.
+
+    scipy.stats is imported here, on first call, because importing it costs
+    more than the rest of autrep's start-up together."""
+    from scipy import stats
+
     arr = np.asarray(list(samples), dtype=float)
     return stats.kstest(arr, su2_trace_cdf)
 

@@ -43,6 +43,9 @@ TWISTING_WORDS = (Word((2, 3, -2, -3), 3), Word((1, 3, -1, -3), 3))
 M_MAX = 10
 # rows per block of the probe's products and of the CSV decoder
 BLOCK_ROWS = 40_000
+# format_word text of the one-letter word of every uint8 nibble
+_TOKEN_OF_NIB = np.array([format_word(Word((v,), abs(v), _checked=True))
+                          for v in map(_engine.letter_of_nib, range(256))], dtype=object)
 # entries per entry array in one block of _axis_checks
 AXIS_BLOCK = 10_000
 
@@ -339,6 +342,7 @@ class PS2Report:
         # decode blocks of one length; BLOCK_ROWS at most bounds the words held
         cuts = (np.flatnonzero(np.diff(self.col_length)) + 1).tolist()
         bounds = sorted({*cuts, *range(0, self.total_classes, BLOCK_ROWS), self.total_classes})
+        g17, g6 = "{:.17g}".format, "{:.6g}".format
         with open(path, "w") as f:
             if manifest_line is not None:
                 f.write(f"# {manifest_line}\n")
@@ -348,14 +352,15 @@ class PS2Report:
             mx = np.maximum(r1, r2)
             for lo, hi in zip(bounds, bounds[1:]):
                 l = int(self.col_length[lo])
-                words = _engine.decode_rows(
-                    _engine.unpack_keys(self.col_keys[lo:hi], l, b), n)
-                for i, w in enumerate(words, lo):
-                    f.write(f"{format_word(w)},{l},"
-                            f"{self.col_l1[i]:.17g},{self.col_l2[i]:.17g},"
-                            f"{r1[i]:.17g},{r2[i]:.17g},{mx[i]:.17g},"
-                            f"{int(self.col_axis1[i])},{int(self.col_axis2[i])},"
-                            f"{self.col_kfit1[i]:.6g},{self.col_kfit2[i]:.6g}\n")
+                W = _engine.unpack_keys(self.col_keys[lo:hi], l, b)
+                # column by column over tolist(): Python floats format faster than numpy scalars
+                cols = [map(" ".join, _TOKEN_OF_NIB[W].tolist()), [str(l)] * (hi - lo)]
+                cols += [map(g17, c[lo:hi].tolist())
+                         for c in (self.col_l1, self.col_l2, r1, r2, mx)]
+                cols += [map(str, c[lo:hi].astype(np.uint8).tolist())
+                         for c in (self.col_axis1, self.col_axis2)]
+                cols += [map(g6, c[lo:hi].tolist()) for c in (self.col_kfit1, self.col_kfit2)]
+                f.write("".join([",".join(row) + "\n" for row in zip(*cols)]))
 
     def check_ratio_axis_consistency(self) -> int:
         """Count records where an axis check passed but the translation

@@ -172,6 +172,39 @@ class TestScalarWalkKernel:
         assert run.restarts == restarts and len(restarts) > 0
         assert [s.gen_traces[0] for s in run.samples[1:]] == finals
 
+    @pytest.mark.parametrize("move_set", ["nielsen", "whitehead"])
+    @pytest.mark.parametrize("bad", ["overflow", "det", None])
+    def test_guard_on_written_coordinates_matches_full_check(self, move_set, bad):
+        """random_walk checks only the coordinates a move wrote; the walk
+        that checks every coordinate after every step must agree, also when
+        the initial tuple itself fails the guard."""
+        rng = np.random.default_rng(21)
+        images = [random_element(rng, "real", 0.8) for _ in range(3)]
+        if bad == "overflow":
+            images[0] = GroupElement(np.diag([70.0, 1 / 70.0]))
+        elif bad == "det":
+            # within GroupElement's tolerance, beyond the walk's det_guard
+            images[0] = GroupElement([[1.0 + 5e-10, 0.5], [0.0, 1.0]])
+        rep = Representation(images)
+        cfg = WalkConfig(steps=3000, seed=21, move_set=move_set, record_stride=3,
+                         overflow_guard=64.0)
+        run = random_walk(rep, cfg)
+        programs = _move_programs(3, move_set)
+        draws = np.random.default_rng(21).integers(len(programs), size=cfg.steps).tolist()
+        init = [tuple(g.m.ravel().tolist()) for g in rep.images]
+        mats, restarts = init, []
+        samples = [dynamics._trace_sample(0, mats, "real")]
+        for step, p in enumerate(draws, 1):
+            mats = _walk_step(mats, programs[p], False)
+            if dynamics._escaped(mats, cfg.overflow_guard, cfg.det_guard):
+                restarts.append(step)
+                mats = init
+            if step % 3 == 0:
+                samples.append(dynamics._trace_sample(step, mats, "real"))
+        assert run.restarts == restarts
+        assert run.samples == samples
+        assert 0 < len(restarts) < cfg.steps
+
 
 class TestCommutatorTrace:
     def test_commuting_pair_gives_two(self):

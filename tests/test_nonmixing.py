@@ -402,6 +402,37 @@ class TestProbe:
         obj = rpt.to_obj()
         assert obj["total_classes"] == rpt.total_classes
 
+    @staticmethod
+    def _per_row_csv(rpt, path, n, manifest_line):
+        """The row-at-a-time f-string writer that write_csv replaced."""
+        r1, r2 = rpt.ratios()
+        mx = np.maximum(r1, r2)
+        b = _engine.bits_per_letter(n)
+        with open(path, "w") as f:
+            f.write(f"# {manifest_line}\n")
+            f.write("class,length,l1,l2,r1,r2,max_ratio,axis_pass_1,axis_pass_2,"
+                    "K_fit_1,K_fit_2\n")
+            for i in range(rpt.total_classes):
+                l = int(rpt.col_length[i])
+                w = _engine.decode_rows(_engine.unpack_keys(rpt.col_keys[i:i + 1], l, b), n)[0]
+                f.write(f"{format_word(w)},{l},"
+                        f"{rpt.col_l1[i]:.17g},{rpt.col_l2[i]:.17g},"
+                        f"{r1[i]:.17g},{r2[i]:.17g},{mx[i]:.17g},"
+                        f"{int(rpt.col_axis1[i])},{int(rpt.col_axis2[i])},"
+                        f"{rpt.col_kfit1[i]:.6g},{rpt.col_kfit2[i]:.6g}\n")
+
+    # K = 5 mixes passing and failing axis checks; 97 rows puts block seams
+    # inside every length from 5 on
+    @pytest.mark.parametrize("K,block_rows", [(50.0, nonmixing.BLOCK_ROWS), (5.0, 97)])
+    def test_csv_bytes_equal_per_row_writer(self, tmp_path, monkeypatch, K, block_rows):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        rpt = ps2_probe(pair.rho1, pair.rho2, 5, K=K, window=2, axis_check=True)
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        self._per_row_csv(rpt, want, 3, "manifest: {}")
+        monkeypatch.setattr(nonmixing, "BLOCK_ROWS", block_rows)
+        rpt.write_csv(str(got), 3, "manifest: {}")
+        assert got.read_bytes() == want.read_bytes()
+
     def test_non_finite_length_raises(self, monkeypatch):
         rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
         real = nonmixing._lengths_from_scaled_traces
