@@ -57,6 +57,30 @@ def decode_rows(W: np.ndarray, n: int) -> list[Word]:
     return [Word(tuple(r), n, _checked=True) for r in _LETTER_OF_NIB[W].tolist()]
 
 
+def sphere_children(last_nibs: np.ndarray | None, k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced one-letter extensions of a word-sphere level whose words
+    end in the nibbles last_nibs (None: the level holding only the empty
+    word), over an alphabet of k2 nibbles: (nib, parent) arrays,
+    parent-major and nibble-minor."""
+    if last_nibs is None:
+        last_nibs = np.full(1, -1, dtype=np.int16)
+    nib = np.tile(np.arange(k2, dtype=np.int16), last_nibs.shape[0])
+    parent = np.repeat(np.arange(last_nibs.shape[0], dtype=np.int64), k2)
+    keep = last_nibs[parent] != nib ^ 1
+    return nib[keep], parent[keep]
+
+
+def backtrack(levels, level: int, index: int) -> tuple[int, ...]:
+    """Letters of the word at levels[level][index], where each level is a
+    (nib, parent) pair from sphere_children; level -1 is the empty word."""
+    nibs_rev = []
+    for lev in range(level, -1, -1):
+        nibs, parents = levels[lev]
+        nibs_rev.append(int(nibs[index]))
+        index = int(parents[index])
+    return tuple(letter_of_nib(c) for c in reversed(nibs_rev))
+
+
 def pack_rows(rows: np.ndarray, b: int) -> np.ndarray:
     """(N, l) uint8 nibble rows -> (N,) uint64 keys."""
     out = np.zeros(rows.shape[0], dtype=U64)

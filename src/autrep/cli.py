@@ -180,11 +180,14 @@ def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
 def density_replay_cmd(cert_path):
     """Re-verify a certificate file independently of the run that made it.
 
-    Exit code 0 iff the certificate verifies.
+    Exit code 0: verifies; 1: fails; 2: the file holds no certificate or a
+    malformed one.
     """
     with open(cert_path) as f:
         obj = jsonio.loads(f.read())
     cert_obj = obj.get("certificate", obj)
+    if cert_obj is None:
+        raise ValueError(f"file holds no certificate (status {obj.get('status')})")
     cert = density_mod.DensityCertificate.from_obj(cert_obj)
     ok = density_mod.replay_certificate(cert)
     click.echo("certificate verifies" if ok else "certificate FAILS")

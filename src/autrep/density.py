@@ -21,6 +21,7 @@ so every verdict depends only on the inputs, the seed and the count budgets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import jsonio
+from . import _engine, jsonio
 from .freegroup import (
     FreeAutomorphism,
     Word,
@@ -49,6 +50,7 @@ from .sl2 import (
     elements_from_obj,
     elements_to_obj,
     evaluate,
+    generator_table,
     random_element,
     rotation_angle,
 )
@@ -101,6 +103,17 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m), compute_uv=False)[0])
 
 
+def _identity_distance(m: np.ndarray) -> float:
+    """Operator-norm distance from a 2x2 matrix to the nearer of +-1."""
+    eye = np.eye(2)
+    return min(opnorm(m - eye), opnorm(m + eye))
+
+
+def _noncommute(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of the commutator difference ab - ba."""
+    return float(np.abs(a @ b - b @ a).max())
+
+
 @dataclass
 class DensityCertificate:
     """Replayable witness for a Dense verdict: spanning words plus a
@@ -120,6 +133,9 @@ class DensityCertificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> DensityCertificate:
+        for key in ("field", "generators", "spanning_words", "witness"):
+            if key not in obj:
+                raise ValueError(f"certificate has no {key!r} field")
         gens = elements_from_obj(obj["generators"], obj["field"])
         k = len(gens)
         words = [parse_word(t, k) for t in obj["spanning_words"]]
@@ -145,29 +161,24 @@ class DensityVerdict:
         return self.status == "dense"
 
 
-def _word_stream(k: int, budget: SearchBudget, seed: int):
-    """Reduced words over k symbols in breadth-first order, deterministically
-    subsampled per length once counts exceed the candidate budget.  The
-    stream depends only on (k, budget, seed), never on matrix values."""
+def _levels(table: np.ndarray, budget: SearchBudget, seed: int):
+    """The word spheres that certify_dense walks over the table's k
+    generators: each level's (nib, parent) from sphere_children and its
+    matrices, a level being subsampled by the seeded rng once it exceeds
+    its share of the candidate budget."""
+    k = table.shape[0] // 2
     rng = np.random.default_rng(seed)
     per_length = max(budget.max_candidates // budget.max_word_length, 2 * k)
-    level = [(v,) for i in range(1, k + 1) for v in (i, -i)]
-    total = 0
-    while level:
-        if len(level) > per_length:
-            idx = rng.choice(len(level), size=per_length, replace=False)
-            emit = [level[i] for i in sorted(idx)]
-        else:
-            emit = level
-        for w in emit:
-            total += 1
-            yield w
-            if total >= budget.max_candidates:
-                return
-        if len(emit[0]) >= budget.max_word_length:
-            return
-        level = [w + (v,) for w in emit for i in range(1, k + 1) for v in (i, -i)
-                 if v != -w[-1]]
+    nib = None
+    mats = np.eye(2, dtype=table.dtype)[None]
+    for _ in range(budget.max_word_length):
+        nib, parent = _engine.sphere_children(nib, 2 * k)
+        if nib.shape[0] > per_length:
+            idx = np.sort(rng.choice(nib.shape[0], size=per_length, replace=False))
+            nib, parent = nib[idx], parent[idx]
+        # batched @ reproduces evaluate's left-to-right products bit for bit
+        mats = mats[parent] @ table[nib]
+        yield nib, parent, mats
 
 
 def _common_eigenvector(mats: list[np.ndarray], tol: float = 1e-8) -> bool:
@@ -191,19 +202,6 @@ def _common_eigenvector(mats: list[np.ndarray], tol: float = 1e-8) -> bool:
     return False
 
 
-def _irrational_elliptic_witness(g: np.ndarray, field_tag: str) -> dict | None:
-    ge = GroupElement(g, field_tag)
-    c = classify(ge)
-    if c.kind is not IsometryType.ELLIPTIC:
-        return None
-    theta = rotation_angle(ge)
-    margin = rational_angle_margin(theta)
-    if margin > DELTA_IRR:
-        return {"kind": "elliptic-irrational", "angle": theta, "margin": margin,
-                "q_max": Q_MAX}
-    return None
-
-
 def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget(),
                   seed: int = 0) -> DensityVerdict:
     """Budgeted search for a density certificate for <S>.
@@ -213,6 +211,11 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     both, structural obstructions are reported as LikelyNotDense and
     anything else as Unknown.  Raises TimeCapError if budget.time_cap_s
     passes before the word stream is done.
+
+    The stream walks the reduced words over k = len(S) symbols breadth-first,
+    deterministically subsampled per length once counts exceed the candidate
+    budget; it depends only on (k, budget, seed), never on matrix values.
+    Each word's matrix is formed once from its parent's.
     """
     S = list(S)
     if not S:
@@ -221,7 +224,6 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     if any(g.field != field_tag for g in S):
         raise ValueError("mixed field tags")
     k = len(S)
-    rep = Representation(S)
     t0 = time.monotonic()
 
     eye = np.eye(2)
@@ -242,45 +244,53 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     saw_elliptic = False
     min_distance = math.inf
 
-    def rank_add(vec: np.ndarray, w: Word) -> None:
-        nonlocal basis, spanning
+    def rank_add(vec: np.ndarray) -> bool:
         v = vec.astype(np.complex128)
         norm0 = np.linalg.norm(v)
         for b in basis:
             v = v - (b.conj() @ v) * b
         if np.linalg.norm(v) > DEFAULT_TOL.sv_rel_cutoff * max(norm0, 1.0):
             basis.append(v / np.linalg.norm(v))
-            spanning.append(w)
+            return True
+        return False
+
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def products():
+        for nib, parent, mats in _levels(generator_table(S), budget, seed):
+            levels.append((nib, parent))
+            yield from enumerate(mats)
+
+    def word(i: int) -> Word:
+        # the i-th word of the newest level, decoded only when recorded
+        return Word(_engine.backtrack(levels, len(levels) - 1, i), k, _checked=True)
 
     use_real_span = field_tag in ("real", "su2")
-    stream = _word_stream(k, budget, seed)
-    for letters in stream:
+    for i, m in itertools.islice(products(), budget.max_candidates):
         if time.monotonic() - t0 > budget.time_cap_s:
             raise TimeCapError(budget.time_cap_s, words_examined)
         words_examined += 1
-        w = Word(letters, k, _checked=True)
-        m = evaluate(rep, w).m
+        g = GroupElement(m, field_tag)
         if len(basis) < target_rank:
-            A = adjoint(GroupElement(m, field_tag))
-            vec = A.reshape(9)
+            vec = adjoint(g).reshape(9)
             if use_real_span and np.iscomplexobj(vec):
                 vec = vec.real
-            rank_add(vec, w)
-        d_id = min(opnorm(m - eye), opnorm(m + eye))
+            if rank_add(vec):
+                spanning.append(word(i))
+        d_id = _identity_distance(g.m)
         if d_id > NEAR_LO:
             min_distance = min(min_distance, d_id)
         if witness is None:
-            ell = _irrational_elliptic_witness(m, field_tag)
-            if ell is not None:
+            if classify(g).kind is IsometryType.ELLIPTIC:
                 saw_elliptic = True
-                ell["word"] = format_word(w)
-                witness = ell
-            else:
-                c = classify(GroupElement(m, field_tag))
-                if c.kind is IsometryType.ELLIPTIC:
-                    saw_elliptic = True
-                if field_tag != "su2" and NEAR_LO < d_id < NEAR_HI:
-                    near_identity.append((w, m, d_id))
+                theta = rotation_angle(g)
+                margin = rational_angle_margin(theta)
+                if margin > DELTA_IRR:
+                    witness = {"kind": "elliptic-irrational", "angle": theta,
+                               "margin": margin, "q_max": Q_MAX,
+                               "word": format_word(word(i))}
+            if witness is None and field_tag != "su2" and NEAR_LO < d_id < NEAR_HI:
+                near_identity.append((word(i), g.m, d_id))
         if len(basis) >= target_rank and witness is not None:
             break
 
@@ -288,7 +298,7 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     if witness is None and near_identity:
         for (w, m, d_id) in near_identity:
             for gi, h in enumerate(S):
-                comm = float(np.abs(m @ h.m - h.m @ m).max())
+                comm = _noncommute(m, h.m)
                 if comm > NONCOMMUTE_FLOOR:
                     witness = {"kind": "near-identity", "word": format_word(w),
                                "distance": d_id, "noncommute": comm,
@@ -323,35 +333,28 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
 
 def replay_certificate(cert: DensityCertificate) -> bool:
     """Re-verify a certificate from its own data: spanning words must give
-    adjoint rank 9 and the witness numerics must reproduce."""
+    adjoint rank 9 and the witness numerics must reproduce.  A malformed
+    word or a missing or ill-typed witness field fails the replay."""
     rep = Representation(cert.generators)
-    try:
-        mats = [evaluate(rep, w) for w in cert.spanning_words]
-    except ValueError:
-        return False
-    if ad_span_rank(mats) != 9:
-        return False
     w = cert.witness
     try:
+        if ad_span_rank([evaluate(rep, u) for u in cert.spanning_words]) != 9:
+            return False
         m = evaluate(rep, parse_word(w["word"], rep.rank))
-    except (KeyError, ValueError):
+        if w["kind"] == "elliptic-irrational":
+            if classify(m).kind is not IsometryType.ELLIPTIC:
+                return False
+            theta = rotation_angle(m)
+            # a denominator bound below Q_MAX would pass rational angles
+            q_max = int(w["q_max"])
+            return (abs(theta - w["angle"]) <= 1e-9 and q_max >= Q_MAX
+                    and rational_angle_margin(theta, q_max) > DELTA_IRR)
+        if w["kind"] == "near-identity":
+            h = cert.generators[int(w["companion_index"])]
+            return (NEAR_LO < _identity_distance(m.m) < NEAR_HI
+                    and _noncommute(m.m, h.m) > NONCOMMUTE_FLOOR)
+    except (AttributeError, LookupError, TypeError, ValueError):
         return False
-    if w["kind"] == "elliptic-irrational":
-        c = classify(m)
-        if c.kind is not IsometryType.ELLIPTIC:
-            return False
-        theta = rotation_angle(m)
-        if abs(theta - w["angle"]) > 1e-9:
-            return False
-        return rational_angle_margin(theta, int(w["q_max"])) > DELTA_IRR
-    if w["kind"] == "near-identity":
-        eye = np.eye(2)
-        d = min(opnorm(m.m - eye), opnorm(m.m + eye))
-        if not (NEAR_LO < d < NEAR_HI):
-            return False
-        g = cert.generators[int(w["companion_index"])]
-        comm = float(np.abs(m.m @ g.m - g.m @ m.m).max())
-        return comm > NONCOMMUTE_FLOOR
     return False
 
 

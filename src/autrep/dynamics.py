@@ -310,9 +310,9 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
     seen = np.sort(quat_keys(mats))
     total = 1
     for _ in range(max_level):
-        child, child_nib, parent = _expand_level(mats, levels, table)
-        if child.shape[0] == 0:
-            break
+        child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
+                                                    table.shape[0])
+        child = np.einsum("bij,bjk->bik", mats[parent], table[child_nib])
         keys = quat_keys(child)
         _, first = np.unique(keys, return_index=True)
         pos = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
@@ -328,31 +328,6 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
         if total >= cap:
             break
     return levels, mats_levels
-
-
-def _expand_level(mats: np.ndarray, levels: list, table: np.ndarray):
-    """Children of the newest word-sphere level, whose matrices are mats and
-    whose (nibbles, parents) are levels[-1] (no levels: the empty word):
-    mats[b] @ table[c] for every nibble c that does not cancel the parent's
-    last nibble.  Returns (child matrices, child nibbles, parent indices)."""
-    last = levels[-1][0] if levels else np.full(1, -1, dtype=np.int16)
-    B, k2 = mats.shape[0], table.shape[0]
-    child = np.einsum("bij,ljk->blik", mats, table).reshape(B * k2, 2, 2)
-    child_nib = np.tile(np.arange(k2, dtype=np.int16), B)
-    parent = np.repeat(np.arange(B, dtype=np.int64), k2)
-    valid = last[parent] != child_nib ^ 1
-    return child[valid], child_nib[valid], parent[valid]
-
-
-def _backtrack(levels, level: int, index: int) -> tuple[int, ...]:
-    """Letters of the word at levels[level][index] via parent pointers;
-    level -1 is the empty word."""
-    nibs_rev = []
-    for lev in range(level, -1, -1):
-        nibs, parents = levels[lev]
-        nibs_rev.append(int(nibs[index]))
-        index = int(parents[index])
-    return tuple(_engine.letter_of_nib(c) for c in reversed(nibs_rev))
 
 
 # every MEET_SAMPLE_STRIDE-th left factor is queried first; its nearest
@@ -392,7 +367,7 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
 
     def word_at(i: int) -> tuple[int, ...]:
         lev = int(np.searchsorted(starts, i, side="right")) - 1
-        return _backtrack(levels, lev, i - int(starts[lev]))
+        return _engine.backtrack(levels, lev, i - int(starts[lev]))
 
     quats = _su2_quat(all_mats)
     tree = cKDTree(quats)
@@ -471,9 +446,9 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     for _ in range(budget.max_word_length):
         if time.monotonic() - t0 > budget.time_cap_s:
             raise TimeCapError(budget.time_cap_s, examined)
-        child, child_nib, parent = _expand_level(mats, levels, table)
-        if child.shape[0] == 0:
-            break
+        child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
+                                                    table.shape[0])
+        child = np.einsum("bij,bjk->bik", mats[parent], table[child_nib])
         dists = _opnorms(child - tm)
         examined += child.shape[0]
         imin = int(np.argmin(dists))
@@ -503,7 +478,7 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
         mats = child[keep]
     if best_level < 0:
         return ApproxResult(Word.identity(k), d0, False, examined)
-    word = Word(_backtrack(levels, best_level, best_index), k, _checked=True)
+    word = Word(_engine.backtrack(levels, best_level, best_index), k, _checked=True)
     return ApproxResult(word, best_dist, best_dist < epsilon, examined)
 
 

@@ -18,7 +18,7 @@ re-verified in exact integer arithmetic when the inputs are integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -318,24 +318,10 @@ class PS2Report:
         return float(np.maximum(r1[mask], r2[mask]).min())
 
     def to_obj(self) -> dict:
-        return {
-            "rank": self.rank,
-            "field": self.field,
-            "length_cap": self.length_cap,
-            "K": self.K,
-            "window": self.window,
-            "total_classes": self.total_classes,
-            "counts_by_length": {str(k): v for k, v in self.counts_by_length.items()},
-            "min_max_ratio": self.min_max_ratio,
-            "argmin_class": self.argmin_class,
-            "zero_ratio_count_1": self.zero_ratio_count_1,
-            "zero_ratio_count_2": self.zero_ratio_count_2,
-            "zero_ratio_examples_1": self.zero_ratio_examples_1,
-            "zero_ratio_examples_2": self.zero_ratio_examples_2,
-            "axis_pass_count_1": self.axis_pass_count_1,
-            "axis_pass_count_2": self.axis_pass_count_2,
-            "axis_pass_either": self.axis_pass_either,
-        }
+        """The summary fields, in field order; the col_* columns are left out."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        obj["counts_by_length"] = {str(k): v for k, v in self.counts_by_length.items()}
+        return obj
 
     def write_csv(self, path: str, n: int, manifest_line: str | None = None) -> None:
         b = _engine.bits_per_letter(n)

@@ -105,6 +105,39 @@ class TestDensity:
         res = runner.invoke(main, ["density", "replay", str(cert_path)])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("key", ["kind", "angle", "q_max", "word"])
+    def test_replay_missing_witness_field_fails(self, runner, tmp_path, key):
+        c, s = math.cos(0.5), math.sin(0.5)
+        rep_path = write_rep(tmp_path / "rep.json",
+                             [[[c, -s], [s, c]], [[2, 1], [1, 1]]])
+        cert_path = tmp_path / "cert.json"
+        runner.invoke(main, ["density", "certify", "--rep", rep_path,
+                             "--out", str(cert_path)])
+        obj = jsonio.loads(cert_path.read_text())
+        del obj["certificate"]["witness"][key]
+        cert_path.write_text(jsonio.dumps(obj))
+        res = runner.invoke(main, ["density", "replay", str(cert_path)])
+        assert res.exit_code == 1
+        assert "certificate FAILS" in res.output
+
+    def test_replay_of_uncertified_run_exits_two(self, runner, tmp_path):
+        rep_path = write_rep(tmp_path / "rep.json",
+                             [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+        out_path = tmp_path / "verdict.json"
+        res = runner.invoke(main, ["density", "certify", "--rep", rep_path,
+                                   "--out", str(out_path)])
+        assert res.exit_code == 1
+        res = runner.invoke(main, ["density", "replay", str(out_path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: file holds no certificate")
+        assert "likely_not_dense" in res.stderr
+
+    def test_replay_of_rep_file_names_missing_key(self, runner, tmp_path):
+        rep_path = write_rep(tmp_path / "rep.json", GOOD)
+        res = runner.invoke(main, ["density", "replay", rep_path])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: certificate has no 'generators' field")
+
 
 class TestWalk:
     def test_su2_walk_csv_and_ks(self, runner, tmp_path):
@@ -230,7 +263,7 @@ NAN_REP = '{"field": "real", "rank": 2, "images": [[[NaN, 0], [0, 1]], [[1, 1], 
 GOOD = [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]]
 
 # one bad input per subcommand and kind: malformed words, bad rep files,
-# invalid budgets; {bad}, {good} and {cert} are files written by the test
+# invalid budgets; {bad}, {good}, {cert} and {nocert} are files written by the test
 ERROR_CASES = [
     ["primitive", "--rank", "2", "zork"],
     ["primitive", "--rank", "2", "x3"],
@@ -241,6 +274,7 @@ ERROR_CASES = [
     ["density", "certify", "--rep", "{good}", "--budget-time", "1e-9"],
     ["density", "replay", "{good}"],
     ["density", "replay", "{cert}"],
+    ["density", "replay", "{nocert}"],
     ["walk", "--group", "real", "--rep", "{bad}", "--steps", "10"],
     ["walk", "--group", "real", "--steps", "-1"],
     ["walk", "--group", "real", "--steps", "10", "--stride", "0"],
@@ -261,10 +295,11 @@ class TestErrorPath:
     @pytest.mark.parametrize("args", ERROR_CASES, ids=lambda a: " ".join(a[:3]))
     def test_input_errors_exit_two(self, runner, tmp_path, args):
         files = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json",
-                 "cert": tmp_path / "cert.json"}
+                 "cert": tmp_path / "cert.json", "nocert": tmp_path / "nocert.json"}
         files["bad"].write_text(NAN_REP)
         write_rep(files["good"], GOOD)
         files["cert"].write_text('{"certificate": {"field": "real"}}')
+        files["nocert"].write_text('{"status": "unknown", "certificate": null}')
         argv = [a.format(**{k: str(p) for k, p in files.items()}) for a in args]
         res = runner.invoke(main, argv)
         assert res.exit_code == 2, res.output

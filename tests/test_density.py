@@ -1,12 +1,17 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from autrep import _engine
 from autrep.density import (
     DensityCertificate,
     SearchBudget,
     TimeCapError,
+    _levels,
     certify_dense,
     links,
     omega_member,
@@ -17,7 +22,16 @@ from autrep.density import (
     replay_certificate,
     strongly_redundant,
 )
-from autrep.sl2 import GroupElement, Representation, random_su2
+from autrep.freegroup import Word, parse_word
+from autrep.sl2 import (
+    GroupElement,
+    Representation,
+    ad_span_rank,
+    evaluate,
+    generator_table,
+    random_element,
+    random_su2,
+)
 
 BUDGET = SearchBudget(max_word_length=5, max_candidates=400, time_cap_s=30.0)
 
@@ -33,6 +47,70 @@ def sanov_pair():
 
 def dense_real_pair():
     return [rotation(0.5), GroupElement([[2, 1], [1, 1]])]
+
+
+def loxodromic_near_identity_pair():
+    # certifies through the near-identity witness: x1 is within 8.5e-4 of 1
+    a = cmath.exp(6e-4 * (1 + 1j))
+    return [GroupElement(np.array([[a, 0], [0, 1 / a]]), "complex"),
+            GroupElement(np.array([[2, 1j], [1j, 0]]), "complex")]
+
+
+def _word_stream(k: int, budget: SearchBudget, seed: int):
+    """Reduced words over k symbols in breadth-first order, deterministically
+    subsampled per length once counts exceed the candidate budget.  The
+    stream depends only on (k, budget, seed), never on matrix values."""
+    rng = np.random.default_rng(seed)
+    per_length = max(budget.max_candidates // budget.max_word_length, 2 * k)
+    level = [(v,) for i in range(1, k + 1) for v in (i, -i)]
+    total = 0
+    while level:
+        if len(level) > per_length:
+            idx = rng.choice(len(level), size=per_length, replace=False)
+            emit = [level[i] for i in sorted(idx)]
+        else:
+            emit = level
+        for w in emit:
+            total += 1
+            yield w
+            if total >= budget.max_candidates:
+                return
+        if len(emit[0]) >= budget.max_word_length:
+            return
+        level = [w + (v,) for w in emit for i in range(1, k + 1) for v in (i, -i)
+                 if v != -w[-1]]
+
+
+class TestLevelStream:
+    """The certificate search's level stream against a tuple-per-word
+    reference: same words in the same order, and products equal to
+    evaluate's bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), seed=st.integers(0, 2**16),
+           max_word_length=st.integers(1, 5), max_candidates=st.integers(1, 300),
+           field_tag=st.sampled_from(["real", "complex", "su2"]))
+    @example(k=4, seed=0, max_word_length=1, max_candidates=5, field_tag="real")
+    @example(k=3, seed=1, max_word_length=4, max_candidates=10, field_tag="complex")
+    @example(k=2, seed=2, max_word_length=5, max_candidates=300, field_tag="su2")
+    def test_matches_word_stream(self, k, seed, max_word_length, max_candidates, field_tag):
+        budget = SearchBudget(max_word_length, max_candidates)
+        rng = np.random.default_rng(seed)
+        S = [random_element(rng, field_tag) for _ in range(k)]
+        rep = Representation(S)
+        want = list(_word_stream(k, budget, seed))
+        levels, got = [], []
+        for nib, parent, mats in _levels(generator_table(S), budget, seed):
+            levels.append((nib, parent))
+            for i in range(nib.shape[0]):
+                if len(got) == len(want):
+                    break
+                letters = _engine.backtrack(levels, len(levels) - 1, i)
+                got.append(letters)
+                ref = evaluate(rep, Word(letters, k)).m
+                assert mats[i].dtype == ref.dtype
+                assert mats[i].tobytes() == ref.tobytes()
+        assert got == want
 
 
 class TestRationalAngleMargin:
@@ -82,6 +160,47 @@ class TestCertifyDense:
         obj = v.certificate.to_obj()
         obj["spanning_words"] = obj["spanning_words"][:2]
         assert not replay_certificate(DensityCertificate.from_obj(obj))
+
+    @pytest.mark.parametrize("pair, key, value", [
+        (dense_real_pair, "kind", None),
+        (dense_real_pair, "angle", None),
+        (dense_real_pair, "q_max", None),
+        (dense_real_pair, "word", None),
+        (dense_real_pair, "angle", "0.5"),
+        (dense_real_pair, "q_max", "many"),
+        (dense_real_pair, "word", 7),
+        (loxodromic_near_identity_pair, "companion_index", None),
+        (loxodromic_near_identity_pair, "companion_index", 5),
+        (loxodromic_near_identity_pair, "companion_index", [1]),
+    ])
+    def test_malformed_witness_fails(self, pair, key, value):
+        v = certify_dense(pair(), BUDGET, seed=2)
+        assert replay_certificate(v.certificate)
+        obj = v.certificate.to_obj()
+        if value is None:
+            del obj["witness"][key]
+        else:
+            obj["witness"][key] = value
+        assert not replay_certificate(DensityCertificate.from_obj(obj))
+
+    def test_weak_denominator_bound_fails(self):
+        # SL2(Z) is discrete; with q_max = 1 the order-4 word x1 (angle pi/2)
+        # would pass as an irrational rotation
+        S = [GroupElement([[0, -1], [1, 0]]), GroupElement([[1, 1], [0, 1]])]
+        words = [parse_word(t, 2) for t in
+                 ["x1", "x2", "x1 x2", "x2 x1", "x2 x2", "x1 x2 x2", "x2 x2 x1",
+                  "x2 x1 x2", "x1 x2 x1 x2", "x2 x2 x2", "x1 x2 x2 x2", "x2 x1 x2 x2"]]
+        assert ad_span_rank([evaluate(Representation(S), w) for w in words]) == 9
+        witness = {"kind": "elliptic-irrational", "word": "x1", "angle": math.pi / 2,
+                   "margin": 0.5, "q_max": 1}
+        assert not replay_certificate(DensityCertificate("real", S, words, witness))
+
+    @pytest.mark.parametrize("key", ["field", "generators", "spanning_words", "witness"])
+    def test_from_obj_names_missing_key(self, key):
+        obj = certify_dense(dense_real_pair(), BUDGET, seed=2).certificate.to_obj()
+        del obj[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            DensityCertificate.from_obj(obj)
 
     def test_monotone_under_extension(self):
         S = dense_real_pair()

@@ -128,6 +128,26 @@ class TestSortedUnique:
         assert np.array_equal(_engine.sorted_unique(keys), np.unique(keys))
 
 
+class TestSphereExpander:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reduced_words_in_bfs_order(self, k):
+        # reference: tuple breadth-first search over x1, x1^-1, x2, ...
+        want = [(v,) for i in range(1, k + 1) for v in (i, -i)]
+        levels, last = [], None
+        for depth in range(4):
+            levels.append(_engine.sphere_children(last, 2 * k))
+            last = levels[-1][0]
+            got = [_engine.backtrack(levels, depth, i) for i in range(last.shape[0])]
+            assert got == want
+            assert all(reduce(list(w), k).letters == w for w in got)
+            assert len(got) == 2 * k * (2 * k - 1) ** depth
+            want = [w + (v,) for w in want for i in range(1, k + 1) for v in (i, -i)
+                    if v != -w[-1]]
+
+    def test_empty_word_is_level_minus_one(self):
+        assert _engine.backtrack([], -1, 0) == ()
+
+
 class TestMoveTable:
     def test_one_table_per_rank(self):
         eng = _engine.PackedEngine(3)
