@@ -12,7 +12,10 @@ orbit: conjugating a second-kind Whitehead move by a permutation/inversion
 map is again a second-kind move, so move images of a representative cover
 every orbit reachable from the orbit itself.  Discovered orbits are
 expanded eagerly and all member keys recorded, which keeps the scan
-frontier a few hundred times smaller than the class count.
+frontier a few hundred times smaller than the class count.  Move images
+run as one apply_move call per chunk of at most BATCH (move, row) pairs,
+and orbit images as one gather over all signed permutations of at most
+BATCH images.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .freegroup import FreeAutomorphism, Word, whitehead_automorphism, whitehead
 
 U64 = np.uint64
 
-# keys per block in PackedEngine.orbit_keys and in primitive_class_keys' move scan
-ORBIT_BLOCK = 65_536
+# rows per block of primitive_class_keys' move scan, and (move, row) pairs
+# per apply_move call or orbit images per gather in orbit_keys
 SCAN_BLOCK = 8_192
+BATCH = 32_768
 
 
 def bits_per_letter(n: int) -> int:
@@ -125,19 +129,6 @@ def canonical_keys(keys: np.ndarray, l: int, b: int) -> np.ndarray:
         np.minimum(best, ((keys << sl) & mask) | (keys >> sr), out=best)
         np.minimum(best, ((inv << sl) & mask) | (inv >> sr), out=best)
     return best
-
-
-def translate_keys(keys: np.ndarray, l: int, b: int, table: np.ndarray) -> np.ndarray:
-    """Relabel letters through a nibble map (uint8 array of size 2n)."""
-    m = U64((1 << b) - 1)
-    sb = U64(b)
-    t64 = table.astype(U64)
-    out = np.zeros_like(keys)
-    k = keys.copy()
-    for i in range(l):
-        out |= t64[(k & m).astype(np.int64)] << U64(b * i)
-        k >>= sb
-    return out
 
 
 def signed_perm_tables(n: int) -> np.ndarray:
@@ -250,19 +241,21 @@ class PackedEngine:
         """Cyclic-length change of every move on every row: (M, N) int64."""
         return self._table.length_deltas(W)
 
-    def apply_move(self, W: np.ndarray, m: int) -> list[tuple[int, np.ndarray]]:
-        """Apply move m to rows of W; returns canonical keys grouped by new
-        cyclic length as [(length, keys)].  Rows are cyclically reduced words;
-        images are cyclically reduced by construction (cancellations in a
+    def apply_move(self, W: np.ndarray, m) -> list[tuple[int, np.ndarray]]:
+        """Apply move m, one move index or an array of one per row, to rows
+        of W; returns canonical keys grouped by new cyclic length as
+        [(length, keys)].  Rows are cyclically reduced words; images are
+        cyclically reduced by construction (cancellations in a
         Whitehead-move image are disjoint adjacent multiplier pairs).
         """
-        Yt = self.Ytab[m]
-        a = int(self.a_nib[m])
-        ainv = a ^ 1
         N, l = W.shape
+        m = np.broadcast_to(m, (N,))
+        Yt = self.Ytab[m]
+        a = self.a_nib[m][:, None]
+        ainv = a ^ 1
         is_a = (W == a) | (W == ainv)
-        head = Yt[W ^ 1] & ~is_a
-        tail = Yt[W] & ~is_a
+        head = np.take_along_axis(Yt, W ^ 1, axis=1) & ~is_a
+        tail = np.take_along_axis(Yt, W, axis=1) & ~is_a
         c_next = np.concatenate([W[:, 1:], W[:, :1]], axis=1)
         head_n = np.concatenate([head[:, 1:], head[:, :1]], axis=1)
         cancel = (tail & head_n) \
@@ -282,17 +275,12 @@ class PackedEngine:
         valid[:, 2::3] = tail_keep
         new_len = valid.sum(axis=1)
         out = []
-        for lp in np.unique(new_len):
-            lp = int(lp)
+        for lp in np.unique(new_len).tolist():
             if lp == 0:
                 continue
-            rows = np.nonzero(new_len == lp)[0]
-            v = valid[rows]
-            e = emit[rows]
-            compact = np.empty((rows.shape[0], lp), dtype=np.uint8)
-            pos = np.cumsum(v, axis=1) - 1
-            rr, cc = np.nonzero(v)
-            compact[rr, pos[rr, cc]] = e[rr, cc]
+            rows = new_len == lp
+            # every row here keeps lp letters, read off in row-major order
+            compact = emit[rows][valid[rows]].reshape(-1, lp)
             out.append((lp, canonical_keys(pack_rows(compact, self.b), lp, self.b)))
         return out
 
@@ -304,14 +292,15 @@ class PackedEngine:
         Returns (all_member_keys sorted unique, orbit representative per
         input key) where the representative is the orbit minimum.
         """
+        K = self.perms.shape[0]
+        step = max(1, BATCH // K)
         members = []
         reps = np.empty_like(keys)
-        for lo in range(0, keys.shape[0], ORBIT_BLOCK):
-            ks = keys[lo:lo + ORBIT_BLOCK]
-            A = np.empty((self.perms.shape[0], ks.shape[0]), dtype=U64)
-            for i, t in enumerate(self.perms):
-                A[i] = canonical_keys(translate_keys(ks, l, self.b, t), l, self.b)
-            reps[lo:lo + ORBIT_BLOCK] = A.min(axis=0)
+        for lo in range(0, keys.shape[0], step):
+            W = unpack_keys(keys[lo:lo + step], l, self.b)
+            images = pack_rows(np.take(self.perms, W, axis=1).reshape(-1, l), self.b)
+            A = canonical_keys(images, l, self.b).reshape(K, -1)
+            reps[lo:lo + step] = A.min(axis=0)
             members.append(sorted_unique(A.ravel()))
         return sorted_unique(np.concatenate(members)), reps
 
@@ -348,13 +337,13 @@ class PackedEngine:
             pending[l] = []
             for lo in range(0, reps.shape[0], SCAN_BLOCK):
                 W = unpack_keys(reps[lo:lo + SCAN_BLOCK], l, self.b)
-                deltas = self.length_deltas(W)
+                # (move, row) pairs within the cap, move-major, taken in
+                # windows of BATCH so no pair index array outgrows a window
+                ok = (self.length_deltas(W) <= length_cap - l).ravel()
                 fresh_by_len: dict[int, list[np.ndarray]] = {}
-                for m in range(deltas.shape[0]):
-                    rows = np.nonzero(l + deltas[m] <= length_cap)[0]
-                    if rows.size == 0:
-                        continue
-                    for lp, keys in self.apply_move(W[rows], m):
+                for p in range(0, ok.size, BATCH):
+                    ms, rows = np.divmod(np.flatnonzero(ok[p:p + BATCH]) + p, W.shape[0])
+                    for lp, keys in self.apply_move(W[rows], ms):
                         fresh_by_len.setdefault(lp, []).append(keys)
                 for lp, parts in sorted(fresh_by_len.items()):
                     cand = sorted_unique(np.concatenate(parts))

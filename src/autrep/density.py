@@ -88,9 +88,14 @@ NONCOMMUTE_FLOOR = 1e-6
 
 
 def rational_angle_margin(theta: float, q_max: int = Q_MAX) -> float:
-    """Distance from theta/pi to the nearest rational with denominator <= q_max."""
+    """Distance from theta/pi to the nearest rational with denominator <= q_max,
+    found by continued fractions in time logarithmic in q_max."""
+    # imported here to keep fractions and decimal off autrep's import path
+    from fractions import Fraction
+
     x = theta / math.pi
-    return min(abs(x - round(x * q) / q) for q in range(1, q_max + 1))
+    q = Fraction(x).limit_denominator(q_max).denominator
+    return abs(x - round(x * q) / q)
 
 
 def opnorm(m: np.ndarray) -> float:

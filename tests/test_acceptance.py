@@ -60,6 +60,8 @@ class TestCriterion1BasicLemmaSweep:
               f"{elapsed:.0f}s (target < 300s)")
         assert rep3.violations == 0
         assert rep4.violations == 0
+        assert rep3.total_classes == 1_470_017
+        assert rep4.total_classes == 11_653_736
         assert elapsed < 300
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ class TestDensity:
         cert_path.write_text(jsonio.dumps(obj))
         res = runner.invoke(main, ["density", "replay", str(cert_path)])
         assert res.exit_code == 1
+
+    def test_replay_with_huge_q_max_is_fast(self, runner, tmp_path):
+        c, s = math.cos(0.5), math.sin(0.5)
+        rep_path = write_rep(tmp_path / "rep.json",
+                             [[[c, -s], [s, c]], [[2, 1], [1, 1]]])
+        cert_path = tmp_path / "cert.json"
+        runner.invoke(main, ["density", "certify", "--rep", rep_path,
+                             "--out", str(cert_path)])
+        obj = jsonio.loads(cert_path.read_text())
+        assert obj["certificate"]["witness"]["kind"] == "elliptic-irrational"
+        obj["certificate"]["witness"]["q_max"] = 10**9
+        cert_path.write_text(jsonio.dumps(obj))
+        t0 = time.perf_counter()
+        res = runner.invoke(main, ["density", "replay", str(cert_path)])
+        assert time.perf_counter() - t0 < 1.0
+        # every angle lies within 1e-6 of some p/q with q <= 10^9
+        assert res.exit_code == 1
+        assert "certificate FAILS" in res.output
 
     @pytest.mark.parametrize("key", ["kind", "angle", "q_max", "word"])
     def test_replay_missing_witness_field_fails(self, runner, tmp_path, key):

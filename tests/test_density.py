@@ -122,6 +122,18 @@ class TestRationalAngleMargin:
         # best q <= 64 approximation of 0.5/pi is 7/44, about 6.4e-5 away
         assert 1e-5 < rational_angle_margin(0.5) < 1e-4
 
+    @given(st.one_of(
+        st.floats(-10.0, 10.0),
+        # near-rational angles: p/q plus a tiny offset
+        st.tuples(st.integers(-400, 400), st.integers(1, 250),
+                  st.floats(-1e-6, 1e-6)).map(lambda t: math.pi * (t[0] / t[1] + t[2]))),
+        st.integers(1, 200))
+    @settings(max_examples=500)
+    def test_matches_scan_over_denominators(self, theta, q_max):
+        x = theta / math.pi
+        want = min(abs(x - round(x * q) / q) for q in range(1, q_max + 1))
+        assert rational_angle_margin(theta, q_max) == want
+
 
 class TestOpnorm:
     def test_matches_svd(self):

@@ -1,5 +1,6 @@
 """Parity tests: the packed engine against the plain word algebra."""
 
+import hashlib
 import itertools
 import random
 
@@ -174,6 +175,17 @@ def cyclic_words(ranks, max_len):
             .filter(lambda nw: len(nw[1]) > 0))
 
 
+@st.composite
+def cyclic_nib_rows(draw, n, l):
+    """Nibble row of a cyclically reduced rank-n word of length l, reduced
+    by construction."""
+    row = [draw(st.integers(0, 2 * n - 1))]
+    for i in range(1, l):
+        banned = {row[-1] ^ 1, row[0] ^ 1} if i == l - 1 else {row[-1] ^ 1}
+        row.append(draw(st.sampled_from([c for c in range(2 * n) if c not in banned])))
+    return row
+
+
 class TestGraphPredicate:
     @given(cyclic_words((3, 4), 16))
     @settings(max_examples=200)
@@ -275,6 +287,76 @@ class TestMoves:
                     img, _ = cyclic_reduce(apply(aut, w))
                     assert deltas[m, 0] == len(img) - len(w)
 
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_per_row_moves_match_single_move_calls(self, data):
+        n = data.draw(st.sampled_from((2, 3, 4)))
+        eng = _engine.PackedEngine(n)
+        l = data.draw(st.integers(1, 8))
+        rows = data.draw(st.lists(cyclic_nib_rows(n, l), min_size=1, max_size=12))
+        ms = data.draw(st.lists(st.integers(0, len(eng.moves) - 1),
+                                min_size=len(rows), max_size=len(rows)))
+        self.check_batched(eng, np.array(rows, dtype=np.uint8), np.array(ms))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_per_row_moves_on_short_words(self, n):
+        # every move on every cyclic word of length 2, so that some images
+        # shrink to length 1
+        eng = _engine.PackedEngine(n)
+        words = [w for w in (cyclic_reduce(reduce([u, v], n))[0]
+                             for u in range(-n, n + 1) for v in range(-n, n + 1) if u and v)
+                 if len(w) == 2]
+        W = np.array([[_engine.nib_of_letter(v) for v in w.letters] for w in words],
+                     dtype=np.uint8)
+        M = len(eng.moves)
+        got = self.check_batched(eng, np.repeat(W, M, axis=0), np.tile(np.arange(M), len(W)))
+        assert {1, 2, 3} <= got
+
+    @staticmethod
+    def check_batched(eng, W, ms):
+        """apply_move with one move per row against one call per row; keys
+        of each length come in row order.  Returns the image lengths."""
+        want = {}
+        for row, m in zip(W, ms):
+            for lp, keys in eng.apply_move(row[None, :], int(m)):
+                want.setdefault(lp, []).append(keys)
+        got = dict(eng.apply_move(W, ms))
+        assert sorted(got) == sorted(want)
+        for lp, keys in got.items():
+            assert keys.dtype == np.uint64
+            assert np.array_equal(keys, np.concatenate(want[lp]))
+        return set(got)
+
+
+def translate_keys(keys, l, b, table):
+    """Relabel letters through a nibble map (uint8 array of size 2n), one
+    packed letter at a time: the reference for orbit_keys' gather."""
+    m = np.uint64((1 << b) - 1)
+    sb = np.uint64(b)
+    t64 = table.astype(np.uint64)
+    out = np.zeros_like(keys)
+    k = keys.copy()
+    for i in range(l):
+        out |= t64[(k & m).astype(np.int64)] << np.uint64(b * i)
+        k >>= sb
+    return out
+
+
+def orbit_keys_by_permutation(eng, keys, l):
+    """orbit_keys as one translate_keys pass per signed permutation."""
+    A = np.empty((eng.perms.shape[0], keys.shape[0]), dtype=np.uint64)
+    for i, t in enumerate(eng.perms):
+        A[i] = _engine.canonical_keys(translate_keys(keys, l, eng.b, t), l, eng.b)
+    return _engine.sorted_unique(A.ravel()), A.min(axis=0)
+
+
+def keys_digest(classes):
+    h = hashlib.sha256()
+    for l in sorted(classes):
+        h.update(l.to_bytes(1, "little"))
+        h.update(classes[l].astype("<u8").tobytes())
+    return h.hexdigest()
+
 
 class TestOrbits:
     def test_orbit_closure_under_translation(self):
@@ -287,10 +369,56 @@ class TestOrbits:
         # translating any member by any table must land inside the orbit
         for t in eng.perms[:10]:
             moved = _engine.canonical_keys(
-                _engine.translate_keys(members, len(w), eng.b, t), len(w), eng.b)
+                translate_keys(members, len(w), eng.b, t), len(w), eng.b)
             assert np.isin(moved, members).all()
         assert reps[0] == members.min()
+
+    @pytest.mark.parametrize("n,l,count", [(2, 7, 300), (3, 5, 1000), (4, 4, 200)])
+    def test_gather_matches_per_permutation_loop(self, monkeypatch, n, l, count):
+        eng = _engine.PackedEngine(n)
+        rng = random.Random(n * 100 + l)
+        words = [w for w in (random_core(rng, n, l) for _ in range(3 * count))
+                 if len(w) == l][:count]
+        W = np.array([[_engine.nib_of_letter(v) for v in w.letters] for w in words],
+                     dtype=np.uint8)
+        keys = _engine.canonical_keys(_engine.pack_rows(W, eng.b), l, eng.b)
+        want_members, want_reps = orbit_keys_by_permutation(eng, keys, l)
+        # the default batch, and one that splits the keys unevenly
+        for batch in (_engine.BATCH, 5 * eng.perms.shape[0] + 3):
+            monkeypatch.setattr(_engine, "BATCH", batch)
+            members, reps = eng.orbit_keys(keys, l)
+            assert np.array_equal(members, want_members)
+            assert np.array_equal(reps, want_reps)
 
     def test_rank_cap_guard(self):
         with pytest.raises(ValueError):
             _engine.PackedEngine(3).primitive_class_keys(25)
+
+
+class TestEnumeration:
+    # sha256 of the keys, length by length, as the per-move enumeration
+    # (one apply_move call per move and block) produced them
+    @pytest.mark.parametrize("n,cap,total,digest", [
+        (3, 9, 57_341, "e3c1feab63093d303b64f98aec8c6e5e131d5218fb8e36358761b4dbeed33116"),
+        (4, 7, 62_752, "e3cc46228ba247bdda451161b1b161472a53f353b2d82a5c66b59b810fd422b1"),
+    ])
+    def test_class_keys_are_pinned(self, n, cap, total, digest):
+        classes = _engine.PackedEngine(n).primitive_class_keys(cap)
+        assert sum(k.size for k in classes.values()) == total
+        assert keys_digest(classes) == digest
+
+    def test_tiny_batches_give_the_same_keys(self, monkeypatch):
+        want = _engine.PackedEngine(3).primitive_class_keys(8)
+        monkeypatch.setattr(_engine, "BATCH", 7)
+        got = _engine.PackedEngine(3).primitive_class_keys(8)
+        assert keys_digest(got) == keys_digest(want)
+
+    @pytest.mark.parametrize("batch", [_engine.BATCH, 1000])
+    def test_no_move_call_exceeds_the_batch(self, monkeypatch, batch):
+        monkeypatch.setattr(_engine, "BATCH", batch)
+        eng = _engine.PackedEngine(4)
+        sizes = []
+        real = eng.apply_move
+        eng.apply_move = lambda W, m: (sizes.append(W.shape[0]), real(W, m))[1]
+        eng.primitive_class_keys(7)
+        assert 0 < max(sizes) <= batch
