@@ -39,7 +39,7 @@ from .freegroup import (
     parse_word,
 )
 from .sl2 import (
-    DEFAULT_TOL,
+    TOL_PAR,
     GroupElement,
     IsometryType,
     Representation,
@@ -53,6 +53,7 @@ from .sl2 import (
     generator_table,
     random_element,
     rotation_angle,
+    span_rank,
 )
 
 
@@ -186,10 +187,10 @@ def _levels(table: np.ndarray, budget: SearchBudget, seed: int):
         yield nib, parent, mats
 
 
-def _common_eigenvector(mats: list[np.ndarray], tol: float = 1e-8) -> bool:
+def _common_eigenvector(mats: list[np.ndarray]) -> bool:
     """Do all matrices share a fixed point on CP^1 (common eigenvector)?"""
-    base = next((m for m in mats if np.abs(m - np.eye(2)).max() > tol
-                 and np.abs(m + np.eye(2)).max() > tol), None)
+    base = next((m for m in mats if np.abs(m - np.eye(2)).max() > TOL_PAR
+                 and np.abs(m + np.eye(2)).max() > TOL_PAR), None)
     if base is None:
         return True  # everything central
     _, vecs = np.linalg.eig(base.astype(np.complex128))
@@ -199,7 +200,7 @@ def _common_eigenvector(mats: list[np.ndarray], tol: float = 1e-8) -> bool:
         for m in mats:
             mv = m.astype(np.complex128) @ v
             wedge = abs(mv[0] * v[1] - mv[1] * v[0])
-            if wedge > tol * max(1.0, float(np.abs(m).max())):
+            if wedge > TOL_PAR * max(1.0, float(np.abs(m).max())):
                 ok = False
                 break
         if ok:
@@ -220,7 +221,11 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     The stream walks the reduced words over k = len(S) symbols breadth-first,
     deterministically subsampled per length once counts exceed the candidate
     budget; it depends only on (k, budget, seed), never on matrix values.
-    Each word's matrix is formed once from its parent's.
+    Each word's matrix is formed once from its parent's.  A word joins the
+    spanning words only when its adjoint row raises sl2.span_rank of the rows
+    kept so far: the rank test that replay_certificate applies, to rows that
+    replay rebuilds bit for bit, so the span part of a Dense certificate
+    replays by construction.
     """
     S = list(S)
     if not S:
@@ -241,23 +246,13 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
                                       "words_examined": 0})
 
     target_rank = 9
-    basis: list[np.ndarray] = []      # orthonormal rows of the current Ad span
+    rows: list[np.ndarray] = []       # adjoint rows of the spanning words, of full rank
     spanning: list[Word] = []
     witness: dict | None = None
     near_identity: list[tuple[Word, np.ndarray, float]] = []
     words_examined = 0
     saw_elliptic = False
     min_distance = math.inf
-
-    def rank_add(vec: np.ndarray) -> bool:
-        v = vec.astype(np.complex128)
-        norm0 = np.linalg.norm(v)
-        for b in basis:
-            v = v - (b.conj() @ v) * b
-        if np.linalg.norm(v) > DEFAULT_TOL.sv_rel_cutoff * max(norm0, 1.0):
-            basis.append(v / np.linalg.norm(v))
-            return True
-        return False
 
     levels: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -270,17 +265,15 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
         # the i-th word of the newest level, decoded only when recorded
         return Word(_engine.backtrack(levels, len(levels) - 1, i), k, _checked=True)
 
-    use_real_span = field_tag in ("real", "su2")
     for i, m in itertools.islice(products(), budget.max_candidates):
         if time.monotonic() - t0 > budget.time_cap_s:
             raise TimeCapError(budget.time_cap_s, words_examined)
         words_examined += 1
         g = GroupElement(m, field_tag)
-        if len(basis) < target_rank:
+        if len(rows) < target_rank:
             vec = adjoint(g).reshape(9)
-            if use_real_span and np.iscomplexobj(vec):
-                vec = vec.real
-            if rank_add(vec):
+            if span_rank(np.array(rows + [vec])) > len(rows):
+                rows.append(vec)
                 spanning.append(word(i))
         d_id = _identity_distance(g.m)
         if d_id > NEAR_LO:
@@ -296,7 +289,7 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
                                "word": format_word(word(i))}
             if witness is None and field_tag != "su2" and NEAR_LO < d_id < NEAR_HI:
                 near_identity.append((word(i), g.m, d_id))
-        if len(basis) >= target_rank and witness is not None:
+        if len(rows) >= target_rank and witness is not None:
             break
 
     # small-element + noncommuting-companion witness (noncompact fields)
@@ -312,7 +305,7 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
             if witness is not None:
                 break
 
-    rank = len(basis)
+    rank = len(rows)
     report = {
         "words_examined": words_examined,
         "ad_rank": rank,

@@ -427,6 +427,11 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     k = len(S)
     if k == 0:
         raise ValueError("S must be nonempty")
+    if any(g.field != S[0].field for g in S):
+        raise ValueError("mixed field tags")
+    if target.field != S[0].field:
+        raise ValueError(f"target field {target.field!r} differs from the field "
+                         f"{S[0].field!r} of S")
     tm = target.m.astype(S[0].m.dtype)
     d0 = opnorm(np.eye(2) - tm)
     if d0 < epsilon or d0 == 0.0:

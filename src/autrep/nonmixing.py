@@ -32,7 +32,7 @@ from .freegroup import (
     cyclic_reduce,
     format_word,
 )
-from .sl2 import DEFAULT_TOL, GroupElement, Representation, generator_table
+from .sl2 import TOL_PAR, GroupElement, Representation, generator_table
 from .whitehead import WhiteheadGraph, build_graph, cutpoints, is_connected, union
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -390,6 +390,19 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
 _LN2 = math.log(2.0)
 
 
+def _complex_lengths(t: np.ndarray) -> np.ndarray:
+    """sl2.translation_length from complex traces t of determinant-1
+    matrices: 2 ln |lambda| of the sign-aligned large root, and 0 in the
+    parabolic bands at t = +-2 and the elliptic band of real t in (-2, 2)."""
+    half = t / 2.0
+    s = np.sqrt(half * half - 1.0)
+    s = np.where((half.conj() * s).real < 0.0, -s, s)
+    out = 2.0 * np.abs(np.log(np.abs(half + s)))
+    out[(np.abs(t - 2.0) <= TOL_PAR) | (np.abs(t + 2.0) <= TOL_PAR)
+        | ((np.abs(t.imag) <= TOL_PAR) & (np.abs(t.real) < 2.0 - TOL_PAR))] = 0.0
+    return out
+
+
 def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """Translation lengths 2 ln |lambda_max| from scaled traces t*2^e."""
     a = np.abs(tr_mant)
@@ -398,8 +411,11 @@ def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray) -> np.ndar
     big = log_t > 60.0  # |t| so large that lambda ~ |t| to double precision
     out[big] = 2.0 * log_t[big]
     small = ~big
+    if np.iscomplexobj(tr_mant):
+        out[small] = _complex_lengths(tr_mant[small] * np.exp2(exp[small].astype(float)))
+        return out
     t = np.exp(log_t[small])
-    hyp = t > 2.0 + DEFAULT_TOL.tol_par
+    hyp = t > 2.0 + TOL_PAR
     half = t / 2.0
     lam = np.where(hyp, half + np.sqrt(np.maximum(half * half - 1.0, 0.0)), 1.0)
     out[small] = 2.0 * np.log(lam)
@@ -451,13 +467,21 @@ def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
 def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
                             exp: np.ndarray, W: np.ndarray,
                             int_mats: list[IntMatrix] | None) -> None:
-    """Classes whose float trace sits near |2| get re-evaluated: exactly in
+    """Classes whose float trace sits near +-2 get re-evaluated: exactly in
     integer arithmetic when available (trace +-2 -> length exactly 0),
     otherwise by the tolerance bands.  Mutates lengths in place."""
-    a = np.abs(tr_mant) * np.exp2(np.clip(exp, None, 64).astype(float))
-    suspects = np.nonzero((exp <= 8) & (np.abs(a - 2.0) < 1e-3))[0]
+    scale = np.exp2(np.clip(exp, None, 64).astype(float))
+    if np.iscomplexobj(tr_mant):
+        t = tr_mant * scale
+        gap = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
+        flat = gap <= TOL_PAR
+    else:
+        a = np.abs(tr_mant) * scale
+        gap = np.abs(a - 2.0)
+        flat = a <= 2.0 + TOL_PAR
+    suspects = np.nonzero((exp <= 8) & (gap < 1e-3))[0]
     if int_mats is None:
-        lengths[suspects[a[suspects] <= 2.0 + DEFAULT_TOL.tol_par]] = 0.0
+        lengths[suspects[flat[suspects]]] = 0.0
         return
     for i, w in zip(suspects, _engine.decode_rows(W[suspects], len(int_mats))):
         m = int_evaluate(int_mats, w.letters)
@@ -482,6 +506,10 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     """
     if rho1.rank != rho2.rank or rho1.field != rho2.field:
         raise ValueError("representations must share rank and field")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if not (math.isfinite(K) and K >= 1.0):
+        raise ValueError(f"K must be finite and >= 1, got {K}")
     n = rho1.rank
     eng = _engine.PackedEngine(n)
     keys = eng.primitive_class_keys(length_cap)

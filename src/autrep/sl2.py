@@ -2,8 +2,8 @@
 
 Three field tags share one element type: "real" (SL2(R), float entries),
 "complex" (SL2(C)), and "su2" (the compact unitary subgroup of SL2(C)).
-All classification and rank thresholds live in a Tolerances policy; the
-mathematics is exact, the artifact manages floating point.
+The constants TOL_DET, TOL_PAR and SV_REL_CUTOFF are the whole tolerance
+policy; the mathematics is exact, the artifact manages floating point.
 """
 
 from __future__ import annotations
@@ -23,20 +23,14 @@ Field = str  # "real" | "complex" | "su2"
 _FIELDS = ("real", "complex", "su2")
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central tolerance policy.
-
-    det tolerance scales with max(1, |ad|, |bc|): the determinant ad - bc of
-    a float matrix carries rounding of order max(|ad|, |bc|) eps, so an
-    absolute bound is unattainable for large entries.
-    """
-    tol_det: float = 1e-9
-    tol_par: float = 1e-8
-    sv_rel_cutoff: float = 1e-8
-
-
-DEFAULT_TOL = Tolerances()
+# determinant drift, relative to max(1, |ad|, |bc|): the determinant ad - bc
+# of a float matrix carries rounding of order max(|ad|, |bc|) eps, so an
+# absolute bound is unattainable for large entries
+TOL_DET = 1e-9
+# half-width of the parabolic (trace +-2) and identity-like bands
+TOL_PAR = 1e-8
+# singular values at or below SV_REL_CUTOFF * sigma_1 do not count in span_rank
+SV_REL_CUTOFF = 1e-8
 
 
 class DetDriftError(ValueError):
@@ -52,7 +46,7 @@ class GroupElement:
 
     __slots__ = ("m", "field")
 
-    def __init__(self, m, field: Field = "real", tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, m, field: Field = "real"):
         if field not in _FIELDS:
             raise ValueError(f"unknown field tag {field!r}")
         arr = np.array(m, dtype=_dtype_for(field))
@@ -65,7 +59,7 @@ class GroupElement:
         s = max(1.0, top)
         a, b, c, d = (x / s for x in arr.ravel().tolist())
         ad, bc = a * d, b * c
-        if abs(ad - bc - 1.0 / s / s) > tol.tol_det * max(1.0 / s / s, abs(ad), abs(bc)):
+        if abs(ad - bc - 1.0 / s / s) > TOL_DET * max(1.0 / s / s, abs(ad), abs(bc)):
             raise DetDriftError(f"determinant {(ad - bc) * s * s} drifted beyond tolerance")
         arr.setflags(write=False)
         self.m = arr
@@ -116,35 +110,35 @@ class Classification(NamedTuple):
     trace: complex
 
 
-def classify(g: GroupElement, tol: Tolerances = DEFAULT_TOL) -> Classification:
+def classify(g: GroupElement) -> Classification:
     """Trace-based isometry type with the banded tolerance policy."""
     t = g.m[0, 0] + g.m[1, 1]
     eye = np.eye(2)
-    if np.abs(g.m - eye).max() <= tol.tol_par or np.abs(g.m + eye).max() <= tol.tol_par:
+    if np.abs(g.m - eye).max() <= TOL_PAR or np.abs(g.m + eye).max() <= TOL_PAR:
         return Classification(IsometryType.IDENTITY_LIKE, complex(t))
     if g.field == "real":
         tr = float(t.real)
-        if abs(abs(tr) - 2.0) <= tol.tol_par:
+        if abs(abs(tr) - 2.0) <= TOL_PAR:
             return Classification(IsometryType.PARABOLIC, tr)
-        if abs(tr) < 2.0 - tol.tol_par:
+        if abs(tr) < 2.0 - TOL_PAR:
             return Classification(IsometryType.ELLIPTIC, tr)
         return Classification(IsometryType.HYPERBOLIC, tr)
     tc = complex(t)
-    if abs(tc - 2.0) <= tol.tol_par or abs(tc + 2.0) <= tol.tol_par:
+    if abs(tc - 2.0) <= TOL_PAR or abs(tc + 2.0) <= TOL_PAR:
         return Classification(IsometryType.PARABOLIC, tc)
-    if abs(tc.imag) <= tol.tol_par and abs(tc.real) < 2.0 - tol.tol_par:
+    if abs(tc.imag) <= TOL_PAR and abs(tc.real) < 2.0 - TOL_PAR:
         return Classification(IsometryType.ELLIPTIC, tc)
     return Classification(IsometryType.HYPERBOLIC, tc)
 
 
-def translation_length(g: GroupElement, tol: Tolerances = DEFAULT_TOL) -> float:
+def translation_length(g: GroupElement) -> float:
     """2 ln of the largest eigenvalue modulus; exactly 0 for elliptic,
     parabolic, and identity-like classifications.
 
     The large root of z^2 - tr z + det is formed with a sign-aligned square
     root (no cancellation for large traces) and the matrix's actual
     determinant, so powers stay additive to near machine precision."""
-    kind = classify(g, tol).kind
+    kind = classify(g).kind
     if kind is not IsometryType.HYPERBOLIC:
         return 0.0
     half = complex(g.m[0, 0] + g.m[1, 1]) / 2.0
@@ -164,9 +158,9 @@ def translation_length_arccosh(g: GroupElement) -> float:
     return 2.0 * abs(cmath.acosh(half).real)
 
 
-def rotation_angle(g: GroupElement, tol: Tolerances = DEFAULT_TOL) -> float:
+def rotation_angle(g: GroupElement) -> float:
     """Angle theta in (0, pi] with tr = 2 cos(theta); elliptic input only."""
-    c = classify(g, tol)
+    c = classify(g)
     if c.kind is not IsometryType.ELLIPTIC:
         raise ValueError(f"rotation_angle needs an elliptic element, got {c.kind.value}")
     tr = c.trace.real if isinstance(c.trace, complex) else c.trace
@@ -212,19 +206,24 @@ def adjoint(g: GroupElement) -> np.ndarray:
     return A.real.copy() if g.field == "real" else A
 
 
-def ad_span_rank(elements: Sequence[GroupElement],
-                 tol: Tolerances = DEFAULT_TOL) -> int:
+def span_rank(rows: np.ndarray) -> int:
+    """Numerical rank of a stack of rows: the singular values above
+    SV_REL_CUTOFF times the largest.  The one rank test that certify_dense
+    and replay_certificate apply to adjoint rows."""
+    sv = np.linalg.svd(rows, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int((sv > SV_REL_CUTOFF * sv[0]).sum())
+
+
+def ad_span_rank(elements: Sequence[GroupElement]) -> int:
     """Dimension of the span of {Ad(g)} inside the 9-dimensional matrix
     algebra: real dimension for the real and su2 fields, complex dimension
     for the complex field.  9 means the adjoint images span everything.
     """
     if not elements:
         raise ValueError("need at least one element")
-    rows = np.array([adjoint(g).reshape(9) for g in elements])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int((sv > tol.sv_rel_cutoff * sv[0]).sum())
+    return span_rank(np.array([adjoint(g).reshape(9) for g in elements]))
 
 
 # -- representations ---------------------------------------------------------

@@ -307,6 +307,10 @@ ERROR_CASES = [
     ["steer", "--epsilon", "nan", "--phi", "{good}", "--psi", "{good}"],
     ["steer", "--budget-time", "nan", "--phi", "{good}", "--psi", "{good}"],
     ["density", "certify", "--rep", "{good}", "--budget-time", "nan"],
+    ["nonmixing", "demo", "--window", "0", "-L", "4"],
+    ["nonmixing", "demo", "-K", "0", "-L", "4"],
+    ["nonmixing", "demo", "-K", "nan", "-L", "4"],
+    ["ps2", "probe", "--window", "0", "--rho1", "{good}", "--rho2", "{good}", "-L", "3"],
 ]
 
 

@@ -56,6 +56,20 @@ def loxodromic_near_identity_pair():
             GroupElement(np.array([[2, 1j], [1j, 0]]), "complex")]
 
 
+@st.composite
+def generator_tuples(draw):
+    """Seeded real, complex or SU(2) tuples of rank 1-3; a noncompact tuple
+    may have its first generator replaced by one within about 1e-5..1e-3
+    of the identity."""
+    field_tag = draw(st.sampled_from(["real", "complex", "su2"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = [random_element(rng, field_tag, draw(st.sampled_from([0.3, 0.8, 1.5])))
+         for _ in range(draw(st.integers(1, 3)))]
+    if field_tag != "su2" and draw(st.booleans()):
+        S[0] = random_element(rng, field_tag, 10 ** draw(st.floats(-5, -3)))
+    return S
+
+
 def _word_stream(k: int, budget: SearchBudget, seed: int):
     """Reduced words over k symbols in breadth-first order, deterministically
     subsampled per length once counts exceed the candidate budget.  The
@@ -166,6 +180,19 @@ class TestCertifyDense:
         back = DensityCertificate.loads(text)
         assert replay_certificate(back)
         assert back.dumps() == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=generator_tuples(),
+           budget=st.sampled_from([SearchBudget(5, 400), SearchBudget(6, 2000)]),
+           seed=st.sampled_from([0, 2]))
+    @example(S=[GroupElement(np.diag([cmath.exp(1e-4 * (1 + 1j)), cmath.exp(-1e-4 * (1 + 1j))]),
+                             "complex"),
+                GroupElement(np.array([[2, 1j], [1j, 0]]), "complex")],
+             budget=SearchBudget(5, 400), seed=2)
+    def test_dense_certificates_replay(self, S, budget, seed):
+        v = certify_dense(S, budget, seed)
+        if v.dense:
+            assert replay_certificate(DensityCertificate.loads(v.certificate.dumps()))
 
     def test_tampered_certificate_fails(self):
         v = certify_dense(dense_real_pair(), BUDGET, seed=2)

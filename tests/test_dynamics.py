@@ -313,6 +313,15 @@ class TestApproximateElement:
         with pytest.raises(ValueError, match="epsilon"):
             approximate_element(S, random_su2(rng), epsilon, BUDGET)
 
+    def test_target_field_must_match(self):
+        # a complex target over real S would be cast to its real part
+        rng = np.random.default_rng(22)
+        real = list(sanov_rep().images)
+        with pytest.raises(ValueError, match="target field"):
+            approximate_element(real, random_element(rng, "complex", 0.5), 1e-3, BUDGET)
+        with pytest.raises(ValueError, match="mixed field"):
+            approximate_element([real[0], random_su2(rng)], real[1], 1e-3, BUDGET)
+
 
 class _UnboundedTree(scipy.spatial.cKDTree):
     """The tree with every query unbounded: the reference for the bounded

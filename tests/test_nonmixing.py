@@ -342,6 +342,32 @@ class TestProbe:
             assert abs(translation_length(ge) - rpt.col_l1[i]) < 1e-9 * max(
                 1.0, rpt.col_l1[i])
 
+    @staticmethod
+    def _assert_lengths_match_translation_length(rep, length_cap):
+        rpt = ps2_probe(rep, rep, length_cap, axis_check=False)
+        b = _engine.bits_per_letter(rep.rank)
+        for i in range(rpt.total_classes):
+            W = _engine.unpack_keys(rpt.col_keys[i:i + 1], int(rpt.col_length[i]), b)
+            want = translation_length(evaluate(rep, _engine.decode_rows(W, rep.rank)[0]))
+            assert abs(rpt.col_l1[i] - want) < 1e-9 * max(1.0, want)
+        return rpt
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_complex_lengths_match_scalar_translation_length(self, seed):
+        rng = np.random.default_rng(seed)
+        rep = Representation([random_element(rng, "complex", 0.8) for _ in range(3)])
+        self._assert_lengths_match_translation_length(rep, 5)
+
+    def test_trace_2i_is_loxodromic_not_parabolic(self):
+        # |trace| = 2, but the eigenvalue i(1 + sqrt 2) has modulus 1 + sqrt 2
+        lam = 1j * (1 + math.sqrt(2))
+        rng = np.random.default_rng(9)
+        rep = Representation([GroupElement(np.diag([lam, 1 / lam]), "complex")]
+                             + [random_element(rng, "complex", 0.8) for _ in range(2)])
+        rpt = self._assert_lengths_match_translation_length(rep, 3)
+        assert rpt.zero_ratio_count_1 == 0
+        assert np.isclose(rpt.col_l1, 2 * math.log(1 + math.sqrt(2)), rtol=1e-12).any()
+
     def test_axis_distances_match_mobius(self):
         # moderate-entry representation: the orbit-point reference route is
         # numerically trustworthy there (for the twisted pair the points

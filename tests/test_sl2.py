@@ -16,7 +16,6 @@ from autrep.sl2 import (
     H3Point,
     IsometryType,
     Representation,
-    Tolerances,
     act,
     ad_span_rank,
     adjoint,
@@ -379,11 +378,3 @@ class TestJsonio:
     def test_compact_and_indented_layout(self):
         assert jsonio.dumps({"a": [1, 2.5], "b": None}) == '{"a":[1,2.5],"b":null}'
         assert jsonio.dumps({"a": [1]}, indent=2) == '{\n  "a": [\n    1\n  ]\n}'
-
-
-class TestToleranceOverrides:
-    def test_custom_parabolic_band(self):
-        tol = Tolerances(tol_par=0.2)
-        g = GroupElement([[1.05, 1], [0.0, 1 / 1.05]])
-        assert classify(g, tol).kind in (IsometryType.PARABOLIC, IsometryType.IDENTITY_LIKE)
-        assert classify(g).kind is IsometryType.HYPERBOLIC
