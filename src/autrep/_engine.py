@@ -16,6 +16,13 @@ frontier a few hundred times smaller than the class count.  Move images
 run as one apply_move call per chunk of at most BATCH (move, row) pairs,
 and orbit images as one gather over all signed permutations of at most
 BATCH images.
+
+The cyclic-length change of a second-kind move is a sum over the word's
+cyclic junctions: a junction (c, d) is the Whitehead-graph edge
+{c, d^-1}, and it contributes one if the move's letter set Y separates its
+ends, less one for each end that is the multiplier.  MoveTable.junction
+holds that contribution for every edge and move, so the length changes of
+a block of words are l row gathers and a sum.
 """
 
 from __future__ import annotations
@@ -165,23 +172,48 @@ def _isin_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[idx] == values
 
 
+def _letter_sets(moves, n2: int) -> np.ndarray:
+    """(M, n2) bool table: entry (m, c) says whether nibble c is in move m's Y.
+    A function of its own so that its index arrays, about 30 MB at rank 8, are
+    freed before MoveTable builds the junction table."""
+    Ytab = np.zeros((len(moves), n2), dtype=bool)
+    rows = np.repeat(np.arange(len(moves)), [len(Y) for Y, _ in moves])
+    cols = np.fromiter((nib_of_letter(v) for Y, _ in moves for v in Y),
+                       dtype=np.intp, count=rows.size)
+    Ytab[rows, cols] = True
+    return Ytab
+
+
 class MoveTable:
     """The second-kind Whitehead moves of rank n, in whitehead_moves_second_kind
     order, with their letter sets as an (M, 2n) nibble table, their multiplier
-    nibbles and, built on first use, their automorphisms."""
+    nibbles, their junction table and, built on first use, their automorphisms.
+
+    junction is (4n^2, M) int8: row u*2n + v holds, for every move (Y, a),
+    the length change that one cyclic junction with Whitehead-graph edge
+    (u, v) contributes, [u in Y] xor [v in Y] - [u == a] - [v == a].  A
+    cyclically reduced word's length change under a move is the sum of its
+    junctions' entries: the crossing edges E(Y, Y^c) less deg(a).
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.moves = tuple(whitehead_moves_second_kind(n))
         M = len(self.moves)
-        self.Ytab = np.zeros((M, 2 * n), dtype=bool)
-        rows = np.repeat(np.arange(M), [len(Y) for Y, _ in self.moves])
-        cols = np.fromiter((nib_of_letter(v) for Y, _ in self.moves for v in Y),
-                           dtype=np.intp, count=rows.size)
-        self.Ytab[rows, cols] = True
+        n2 = 2 * n
+        self.Ytab = _letter_sets(self.moves, n2)
         self.a_nib = np.array([nib_of_letter(a) for _, a in self.moves], dtype=np.uint8)
-        self.Ytab.setflags(write=False)
-        self.a_nib.setflags(write=False)
+        # one (2n, M) block per first vertex u, so no (2n, 2n, M) transient
+        inY = np.ascontiguousarray(self.Ytab.T, dtype=np.int8)
+        is_a = (np.arange(n2)[:, None] == self.a_nib[None, :]).astype(np.int8)
+        self.junction = np.empty((n2 * n2, M), dtype=np.int8)
+        for u in range(n2):
+            blk = self.junction[u * n2:(u + 1) * n2]
+            np.bitwise_xor(inY[u], inY, out=blk)
+            blk -= is_a[u]
+            blk -= is_a
+        for arr in (self.Ytab, self.a_nib, self.junction):
+            arr.setflags(write=False)
         self._auts: dict[int, FreeAutomorphism] = {}
 
     def automorphism(self, m: int) -> FreeAutomorphism:
@@ -193,28 +225,20 @@ class MoveTable:
 
     def length_deltas(self, W: np.ndarray) -> np.ndarray:
         """Cyclic-length change of every move on every cyclically reduced
-        nibble row of W: (M, N) int64.
-
-        Equals crossing-edge count E(Y, Y^c) of the Whitehead graph minus
-        the degree of the multiplier vertex.
-        """
-        N, l = W.shape
-        n2 = 2 * self.n
-        u = W
+        nibble row of W: (M, N) int16, one junction-row gather per letter."""
         v = np.concatenate([W[:, 1:], W[:, :1]], axis=1) ^ 1
-        E = (self.Ytab[:, u] ^ self.Ytab[:, v]).sum(axis=2, dtype=np.int64)
-        # vertex degrees of each row's graph: one count over row * 2n + vertex
-        ends = np.concatenate([u, v], axis=1).astype(np.int64)
-        ends += (np.arange(N, dtype=np.int64) * n2)[:, None]
-        cnt = np.bincount(ends.ravel(), minlength=N * n2).reshape(N, n2)
-        return E - cnt[:, self.a_nib].T
+        idx = W.astype(np.intp) * (2 * self.n) + v
+        acc = np.zeros((W.shape[0], len(self.moves)), dtype=np.int16)
+        for i in range(W.shape[1]):
+            acc += self.junction[idx[:, i]]
+        return acc.T
 
 
 @functools.cache
 def move_table(n: int) -> MoveTable:
     """The one MoveTable of rank n, shared by the engine and the descent.
-    Kept for the life of the process: 2n(2^(2n-2) - 1) moves, about 200 MB
-    at rank 8."""
+    Kept for the life of the process: 2n(2^(2n-2) - 1) moves, about 285 MiB
+    resident at rank 8, 64 MiB of it the junction table."""
     return MoveTable(n)
 
 
@@ -238,7 +262,7 @@ class PackedEngine:
     # -- moves ---------------------------------------------------------
 
     def length_deltas(self, W: np.ndarray) -> np.ndarray:
-        """Cyclic-length change of every move on every row: (M, N) int64."""
+        """Cyclic-length change of every move on every row: (M, N) int16."""
         return self._table.length_deltas(W)
 
     def apply_move(self, W: np.ndarray, m) -> list[tuple[int, np.ndarray]]:
@@ -409,32 +433,32 @@ class PackedEngine:
             np.bitwise_or.at(adj, (rows, v[:, j]), np.uint8(1) << u[:, j])
         full = np.uint8((1 << n2) - 1)
 
-        def closure(adjm: np.ndarray, start: np.ndarray) -> np.ndarray:
+        def closure(col: np.ndarray, start: np.ndarray) -> np.ndarray:
+            # col[vtx] is the neighbour mask of vtx in every row; 0 - bit is
+            # 0xff where vtx is reached and 0 elsewhere, so no masked gather
             reach = start.copy()
             for _ in range(n2):
                 prev = reach.copy()
                 for vtx in range(n2):
-                    sel = ((reach >> vtx) & 1).astype(bool)
-                    if sel.any():
-                        reach[sel] |= adjm[sel, vtx]
+                    reach |= col[vtx] & (0 - ((reach >> vtx) & 1))
                 if np.array_equal(prev, reach):
                     break
             return reach
 
-        start = np.full(N, 1, dtype=np.uint8)
-        connected = closure(adj, start) == full
+        col = np.ascontiguousarray(adj.T)
+        connected = closure(col, np.ones(N, dtype=np.uint8)) == full
         result = np.zeros(N, dtype=bool)
         idx = np.nonzero(connected)[0]
         if idx.size == 0:
             return result
-        sub = adj[idx]
+        sub = col[:, idx]
         no_cut = np.ones(idx.shape[0], dtype=bool)
         for r in range(n2):
             keep = np.uint8(((1 << n2) - 1) & ~(1 << r))
-            adjr = (sub & keep).copy()
-            adjr[:, r] = 0
+            colr = sub & keep
+            colr[r] = 0
             s = 1 if r == 0 else 0
-            reach = closure(adjr, np.full(idx.shape[0], np.uint8(1 << s)))
+            reach = closure(colr, np.full(idx.shape[0], np.uint8(1 << s)))
             no_cut &= (reach == keep)
         result[idx] = no_cut
         return result

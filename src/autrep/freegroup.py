@@ -97,16 +97,20 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     return Word(_reduce_letters(letters, rank), rank, _checked=True)
 
 
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Split w = conjugator * core * conjugator^-1 with core cyclically reduced."""
-    letters = w.letters
+def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclically reduced core of a freely reduced letter tuple."""
     i, j = 0, len(letters)
     while j - i >= 2 and letters[i] == -letters[j - 1]:
         i += 1
         j -= 1
-    core = Word(letters[i:j], w.rank, _checked=True)
-    conj = Word(letters[:i], w.rank, _checked=True)
-    return core, conj
+    return letters[i:j]
+
+
+def cyclic_reduce(w: Word) -> tuple[Word, Word]:
+    """Split w = conjugator * core * conjugator^-1 with core cyclically reduced."""
+    core = cyclic_core(w.letters)
+    conj = w.letters[:(len(w.letters) - len(core)) // 2]
+    return Word(core, w.rank, _checked=True), Word(conj, w.rank, _checked=True)
 
 
 def commutator(u: Word, v: Word) -> Word:

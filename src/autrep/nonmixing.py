@@ -467,22 +467,19 @@ def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
 def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
                             exp: np.ndarray, W: np.ndarray,
                             int_mats: list[IntMatrix] | None) -> None:
-    """Classes whose float trace sits near +-2 get re-evaluated: exactly in
-    integer arithmetic when available (trace +-2 -> length exactly 0),
-    otherwise by the tolerance bands.  Mutates lengths in place."""
+    """Classes whose float trace sits near +-2 get re-evaluated exactly in
+    integer arithmetic (trace +-2 -> length exactly 0) when integer images
+    are given.  Without them there is nothing to add: the lengths already
+    carry the tolerance bands at +-2.  Mutates lengths in place."""
+    if int_mats is None:
+        return
     scale = np.exp2(np.clip(exp, None, 64).astype(float))
     if np.iscomplexobj(tr_mant):
         t = tr_mant * scale
         gap = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
-        flat = gap <= TOL_PAR
     else:
-        a = np.abs(tr_mant) * scale
-        gap = np.abs(a - 2.0)
-        flat = a <= 2.0 + TOL_PAR
+        gap = np.abs(np.abs(tr_mant) * scale - 2.0)
     suspects = np.nonzero((exp <= 8) & (gap < 1e-3))[0]
-    if int_mats is None:
-        lengths[suspects[flat[suspects]]] = 0.0
-        return
     for i, w in zip(suspects, _engine.decode_rows(W[suspects], len(int_mats))):
         m = int_evaluate(int_mats, w.letters)
         t = m[0][0] + m[1][1]

@@ -22,6 +22,7 @@ from .freegroup import (
     Word,
     _letter_key,
     apply,
+    cyclic_core,
     cyclic_reduce,
 )
 
@@ -186,22 +187,27 @@ def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
     core, _ = cyclic_reduce(w)
     if core.is_identity():
         raise ValueError("the trivial word is not an input for primitivity")
-    table = _engine.move_table(w.rank)
+    n, n2 = w.rank, 2 * w.rank
+    table = _engine.move_table(n)
+    nib = _engine.nib_of_letter
+    letters = core.letters
     chain: list[FreeAutomorphism] = []
     steps = 0
-    while len(core) > 1:
+    while len(letters) > 1:
         if steps >= budget:
             raise PrimitivityBudgetError(
-                f"descent budget {budget} exhausted at cyclic length {len(core)}")
+                f"descent budget {budget} exhausted at cyclic length {len(letters)}")
         steps += 1
-        row = np.array([[_engine.nib_of_letter(v) for v in core.letters]], dtype=np.uint8)
-        shorter = np.flatnonzero(table.length_deltas(row)[:, 0] < 0)
-        if shorter.size == 0:
-            return PrimitivityVerdict(False, chain, core)
-        aut = table.automorphism(int(shorter[0]))
+        # junction-table row of each cyclic junction: edge {c, d^-1}
+        rows = [nib(c) * n2 + nib(-d) for c, d in zip(letters, letters[1:] + letters[:1])]
+        shorter = table.junction[rows].sum(axis=0) < 0
+        m = int(shorter.argmax())
+        if not shorter[m]:
+            return PrimitivityVerdict(False, chain, Word(letters, n, _checked=True))
+        aut = table.automorphism(m)
         chain.append(aut)
-        core, _ = cyclic_reduce(apply(aut, core))
-    return PrimitivityVerdict(True, chain, core)
+        letters = cyclic_core(apply(aut, Word(letters, n, _checked=True)).letters)
+    return PrimitivityVerdict(True, chain, Word(letters, n, _checked=True))
 
 
 def replay_chain(w: Word, chain: list[FreeAutomorphism]) -> Word:

@@ -1,9 +1,11 @@
 """Parity tests: the packed engine against the plain word algebra."""
 
+import functools
 import hashlib
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,15 @@ from hypothesis import strategies as st
 from autrep import _engine
 from autrep.freegroup import (
     ConjClass,
+    Word,
     apply,
     cyclic_reduce,
     format_word,
     reduce,
     whitehead_automorphism,
+    whitehead_moves_second_kind,
 )
-from autrep.whitehead import basic_lemma_filter
+from autrep.whitehead import basic_lemma_filter, decide_primitive
 
 
 def random_core(rng, n, length):
@@ -194,6 +198,28 @@ class TestGraphPredicate:
         [flag] = _engine.PackedEngine(n).connected_cutpoint_free_mask(nib_row(w))
         assert bool(flag) == (not basic_lemma_filter(w))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mask_matches_networkx(self, n):
+        # a third of the rows use only the first k < n generators, so their
+        # graphs miss the other 2(n - k) vertices; short rows miss their own
+        rng = random.Random(20 + n)
+        for l in range(1, 11):
+            rows = []
+            while len(rows) < 200:
+                k = rng.choice([rng.randint(1, n - 1), n, n])
+                w = random_core(rng, k, l)
+                if len(w) == l:
+                    rows.append([_engine.nib_of_letter(v) for v in w.letters])
+            want = []
+            for row in rows:
+                g = nx.Graph()
+                g.add_nodes_from(range(2 * n))
+                g.add_edges_from((row[j], row[(j + 1) % l] ^ 1) for j in range(l))
+                want.append(nx.is_connected(g) and not list(nx.articulation_points(g)))
+            got = _engine.PackedEngine(n).connected_cutpoint_free_mask(
+                np.array(rows, dtype=np.uint8))
+            assert got.tolist() == want
+
     def test_distinct_graph_count_matches_mask_sum(self):
         rng = random.Random(12)
         for n in (2, 3, 4):
@@ -288,6 +314,26 @@ class TestMoves:
                     assert deltas[m, 0] == len(img) - len(w)
 
     @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_length_deltas_match_word_algebra(self, data):
+        n = data.draw(st.integers(2, 5))
+        l = data.draw(st.integers(1, 9))
+        W = np.array(data.draw(st.lists(cyclic_nib_rows(n, l), min_size=1, max_size=5)),
+                     dtype=np.uint8)
+        table = _engine.move_table(n)
+        deltas = table.length_deltas(W)
+        assert deltas.shape == (len(table.moves), W.shape[0])
+        for i, w in enumerate(_engine.decode_rows(W, n)):
+            want = [len(cyclic_reduce(apply(aut, w))[0]) - l for aut in move_automorphisms(n)]
+            assert deltas[:, i].tolist() == want
+            # the descent's single-word form: one junction row per cyclic pair
+            r = W[i].tolist()
+            rows = [r[j] * 2 * n + (r[(j + 1) % l] ^ 1) for j in range(l)]
+            single = table.length_deltas(W[i:i + 1])[:, 0]
+            assert np.array_equal(table.junction[rows].sum(axis=0), single)
+            assert np.array_equal(single, deltas[:, i])
+
+    @given(st.data())
     @settings(max_examples=150)
     def test_per_row_moves_match_single_move_calls(self, data):
         n = data.draw(st.sampled_from((2, 3, 4)))
@@ -328,6 +374,12 @@ class TestMoves:
         return set(got)
 
 
+@functools.cache
+def move_automorphisms(n):
+    """whitehead_automorphism of every second-kind move, in move order."""
+    return [whitehead_automorphism(Y, a, n) for Y, a in whitehead_moves_second_kind(n)]
+
+
 def translate_keys(keys, l, b, table):
     """Relabel letters through a nibble map (uint8 array of size 2n), one
     packed letter at a time: the reference for orbit_keys' gather."""
@@ -356,6 +408,23 @@ def keys_digest(classes):
         h.update(l.to_bytes(1, "little"))
         h.update(classes[l].astype("<u8").tobytes())
     return h.hexdigest()
+
+
+def descent_corpus(name):
+    """All 4,686 reduced F3 words of length <= 5, or 1,000 seeded F4 words of
+    length <= 12 with nonzero cyclic length."""
+    if name == "f3_reduced_le5":
+        alphabet = [1, -1, 2, -2, 3, -3]
+        return [Word(t, 3) for l in range(1, 6) for t in itertools.product(alphabet, repeat=l)
+                if all(t[i] != -t[i + 1] for i in range(l - 1))]
+    rng = random.Random(41)
+    alphabet = [s * i for i in range(1, 5) for s in (1, -1)]
+    words = []
+    while len(words) < 1000:
+        w = reduce([rng.choice(alphabet) for _ in range(rng.randint(1, 12))], 4)
+        if w.cyclic_length() > 0:
+            words.append(w)
+    return words
 
 
 class TestOrbits:
@@ -406,6 +475,23 @@ class TestEnumeration:
         classes = _engine.PackedEngine(n).primitive_class_keys(cap)
         assert sum(k.size for k in classes.values()) == total
         assert keys_digest(classes) == digest
+
+    # sha256 of (primitive, chain move indices, terminal letters) per word,
+    # as the descent produced them from one length_deltas row per step
+    @pytest.mark.parametrize("corpus,digest", [
+        ("f3_reduced_le5", "63cf8f40e84806d8efb5a91e02d85917b4d7ce0270c28ad826424fe636da2521"),
+        ("f4_seeded_le12", "d5c3a2baf2ab84ec68e0b83c03cd4f87505945f2bc790c871266ab82891adbb6"),
+    ], ids=["f3_reduced_le5", "f4_seeded_le12"])
+    def test_descent_is_pinned(self, corpus, digest):
+        words = descent_corpus(corpus)
+        table = _engine.move_table(words[0].rank)
+        index = {table.automorphism(m): m for m in range(len(table.moves))}
+        h = hashlib.sha256()
+        for w in words:
+            v = decide_primitive(w)
+            h.update(repr((v.primitive, tuple(index[a] for a in v.chain),
+                           v.terminal.letters)).encode())
+        assert h.hexdigest() == digest
 
     def test_tiny_batches_give_the_same_keys(self, monkeypatch):
         want = _engine.PackedEngine(3).primitive_class_keys(8)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -367,6 +368,27 @@ class TestProbe:
         rpt = self._assert_lengths_match_translation_length(rep, 3)
         assert rpt.zero_ratio_count_1 == 0
         assert np.isclose(rpt.col_l1, 2 * math.log(1 + math.sqrt(2)), rtol=1e-12).any()
+
+    def test_float_lengths_are_pinned(self):
+        # sha256 of col_l1 and col_l2 at L<=7 as computed when the probe also
+        # ran a tolerance-band pass near trace +-2 without integer images;
+        # the real triple has classes at trace exactly +-2 (x1, x2 parabolic)
+        par = GroupElement([[1, 1], [0, 1]])
+        hyp = GroupElement([[2, 1], [1, 1]])
+        other = random_element(np.random.default_rng(1), "real", 0.8)
+        rng = np.random.default_rng(3)
+        c1, c2 = (Representation([random_element(rng, "complex", 0.8) for _ in range(3)])
+                  for _ in range(2))
+        for rho1, rho2, digest in [
+            (Representation([par, hyp, other]), Representation([hyp, par, other]),
+             "e0485e1b2a1abce23b53cf0cc613ab34856c92e8bb2448ebe064a325155fae44"),
+            (c1, c2, "89557e4711203075a44037ef62a7ec6c4f490a4529797e38633229f4dcb383e6"),
+        ]:
+            rpt = ps2_probe(rho1, rho2, 7, axis_check=False)
+            h = hashlib.sha256(rpt.col_l1.tobytes())
+            h.update(rpt.col_l2.tobytes())
+            assert rpt.total_classes == 4985
+            assert h.hexdigest() == digest
 
     def test_axis_distances_match_mobius(self):
         # moderate-entry representation: the orbit-point reference route is
