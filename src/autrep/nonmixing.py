@@ -12,7 +12,7 @@ and quasi-geodesic behavior of the orbit map under each representation.
 
 All length computations run in scaled float arithmetic (mantissa times
 power of two) so long products never overflow; near-parabolic traces are
-re-verified in exact integer arithmetic when the inputs are integral.
+re-verified exactly when the generators are integer matrices of determinant 1.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class PuncturedSphereRep:
     punctures: list[ConjClass]
     int_images: list[IntMatrix]
 
-    @property
-    def rank(self) -> int:
-        return self.rep.rank
-
 
 def build_fuchsian_4punctured() -> PuncturedSphereRep:
     """The explicit discrete faithful 4-punctured-sphere representation.
@@ -111,6 +107,12 @@ class TwistingPreconditionError(ValueError):
     """The twisting word fails its Whitehead-graph precondition."""
 
 
+def _connected_cutpoint_free(g: Word, gens: list[int]) -> bool:
+    verts = [v for i in gens for v in (i, -i)]
+    graph = build_graph([g], g.rank)
+    return is_connected(graph, verts) and not cutpoints(graph, verts)
+
+
 def _check_twisting_word(g: Word, distinguished: int) -> None:
     core, _ = cyclic_reduce(g)
     if core.letters != g.letters:
@@ -121,9 +123,7 @@ def _check_twisting_word(g: Word, distinguished: int) -> None:
         raise TwistingPreconditionError(
             f"twisting word must avoid generator x{distinguished}")
     others = [i for i in range(1, g.rank + 1) if i != distinguished]
-    verts = [v for i in others for v in (i, -i)]
-    graph = build_graph([g], g.rank)
-    if not is_connected(graph, verts) or cutpoints(graph, verts):
+    if not _connected_cutpoint_free(g, others):
         raise TwistingPreconditionError(
             "twisting word's Whitehead graph must be connected and cutpoint-free "
             "on the non-distinguished vertices")
@@ -201,9 +201,7 @@ def pair_graph_check(g1: Word, g2: Word) -> bool:
     problems = []
     for label, g in (("g1", g1), ("g2", g2)):
         support = sorted({abs(v) for v in g.letters})
-        verts = [v for i in support for v in (i, -i)]
-        graph = build_graph([g], n)
-        if not is_connected(graph, verts) or cutpoints(graph, verts):
+        if not _connected_cutpoint_free(g, support):
             problems.append(label)
     if problems:
         raise TwistingPreconditionError(
@@ -278,6 +276,19 @@ def twisted_pair(rho0: PuncturedSphereRep, m: int) -> TwistedPair:
 # -- the PS^2 probe -----------------------------------------------------------
 
 
+def _runs(col_length: np.ndarray) -> list[int]:
+    """Boundaries of the runs of one length in a sorted length column."""
+    return [0, *(np.flatnonzero(np.diff(col_length)) + 1).tolist(), col_length.size]
+
+
+def _blocks(col_length: np.ndarray, col_keys: np.ndarray, b: int):
+    """(lo, hi, l, nibble rows) per block of <= BLOCK_ROWS classes of length l."""
+    bounds = sorted({*_runs(col_length), *range(0, col_length.size, BLOCK_ROWS)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        l = int(col_length[lo])
+        yield lo, hi, l, _engine.unpack_keys(col_keys[lo:hi], l, b)
+
+
 @dataclass
 class PS2Report:
     rank: int
@@ -285,26 +296,50 @@ class PS2Report:
     length_cap: int
     K: float
     window: int
-    total_classes: int
-    counts_by_length: dict[int, int]
-    min_max_ratio: float
-    argmin_class: str
-    zero_ratio_count_1: int
-    zero_ratio_count_2: int
-    zero_ratio_examples_1: list[str]
-    zero_ratio_examples_2: list[str]
-    axis_pass_count_1: int
-    axis_pass_count_2: int
-    axis_pass_either: int
+    total_classes: int = field(init=False)
+    counts_by_length: dict[int, int] = field(init=False)
+    min_max_ratio: float = field(init=False)
+    argmin_class: str = field(init=False)
+    zero_ratio_count_1: int = field(init=False)
+    zero_ratio_count_2: int = field(init=False)
+    zero_ratio_examples_1: list[str] = field(init=False)
+    zero_ratio_examples_2: list[str] = field(init=False)
+    axis_pass_count_1: int = field(init=False)
+    axis_pass_count_2: int = field(init=False)
+    axis_pass_either: int = field(init=False)
     # per-class columns (numpy arrays, aligned): internal but public for tests
-    col_length: np.ndarray = field(repr=False, default=None)
-    col_keys: np.ndarray = field(repr=False, default=None)
-    col_l1: np.ndarray = field(repr=False, default=None)
-    col_l2: np.ndarray = field(repr=False, default=None)
-    col_axis1: np.ndarray = field(repr=False, default=None)
-    col_axis2: np.ndarray = field(repr=False, default=None)
-    col_kfit1: np.ndarray = field(repr=False, default=None)
-    col_kfit2: np.ndarray = field(repr=False, default=None)
+    col_length: np.ndarray = field(repr=False)
+    col_keys: np.ndarray = field(repr=False)
+    col_l1: np.ndarray = field(repr=False)
+    col_l2: np.ndarray = field(repr=False)
+    col_axis1: np.ndarray = field(repr=False)
+    col_axis2: np.ndarray = field(repr=False)
+    col_kfit1: np.ndarray = field(repr=False)
+    col_kfit2: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        mx = np.maximum(*self.ratios())
+        imin = int(np.argmin(mx))
+        zeros1 = np.flatnonzero(self.col_l1 == 0.0)
+        zeros2 = np.flatnonzero(self.col_l2 == 0.0)
+        bounds = _runs(self.col_length)
+        self.total_classes = int(self.col_length.size)
+        self.counts_by_length = {int(self.col_length[lo]): hi - lo
+                                 for lo, hi in zip(bounds, bounds[1:])}
+        self.min_max_ratio = float(mx[imin])
+        self.argmin_class = self._class_text(imin)
+        self.zero_ratio_count_1 = int(zeros1.size)
+        self.zero_ratio_count_2 = int(zeros2.size)
+        self.zero_ratio_examples_1 = [self._class_text(i) for i in zeros1[:5]]
+        self.zero_ratio_examples_2 = [self._class_text(i) for i in zeros2[:5]]
+        self.axis_pass_count_1 = int(self.col_axis1.sum())
+        self.axis_pass_count_2 = int(self.col_axis2.sum())
+        self.axis_pass_either = int((self.col_axis1 | self.col_axis2).sum())
+
+    def _class_text(self, i: int) -> str:
+        W = _engine.unpack_keys(self.col_keys[i:i + 1], int(self.col_length[i]),
+                                _engine.bits_per_letter(self.rank))
+        return " ".join(_TOKEN_OF_NIB[W[0]].tolist())
 
     def ratios(self) -> tuple[np.ndarray, np.ndarray]:
         L = self.col_length.astype(float)
@@ -324,21 +359,18 @@ class PS2Report:
         return obj
 
     def write_csv(self, path: str, n: int, manifest_line: str | None = None) -> None:
-        b = _engine.bits_per_letter(n)
-        # decode blocks of one length; BLOCK_ROWS at most bounds the words held
-        cuts = (np.flatnonzero(np.diff(self.col_length)) + 1).tolist()
-        bounds = sorted({*cuts, *range(0, self.total_classes, BLOCK_ROWS), self.total_classes})
+        if n != self.rank:
+            raise ValueError(f"rank {n} does not match the report's rank {self.rank}")
+        r1, r2 = self.ratios()
+        mx = np.maximum(r1, r2)
         g17, g6 = "{:.17g}".format, "{:.6g}".format
         with open(path, "w") as f:
             if manifest_line is not None:
                 f.write(f"# {manifest_line}\n")
             f.write("class,length,l1,l2,r1,r2,max_ratio,axis_pass_1,axis_pass_2,"
                     "K_fit_1,K_fit_2\n")
-            r1, r2 = self.ratios()
-            mx = np.maximum(r1, r2)
-            for lo, hi in zip(bounds, bounds[1:]):
-                l = int(self.col_length[lo])
-                W = _engine.unpack_keys(self.col_keys[lo:hi], l, b)
+            for lo, hi, l, W in _blocks(self.col_length, self.col_keys,
+                                        _engine.bits_per_letter(n)):
                 # column by column over tolist(): Python floats format faster than numpy scalars
                 cols = [map(" ".join, _TOKEN_OF_NIB[W].tolist()), [str(l)] * (hi - lo)]
                 cols += [map(g17, c[lo:hi].tolist())
@@ -468,17 +500,13 @@ def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
                             exp: np.ndarray, W: np.ndarray,
                             int_mats: list[IntMatrix] | None) -> None:
     """Classes whose float trace sits near +-2 get re-evaluated exactly in
-    integer arithmetic (trace +-2 -> length exactly 0) when integer images
-    are given.  Without them there is nothing to add: the lengths already
+    integer arithmetic (trace +-2 -> length exactly 0) given the generators'
+    integer images.  Without them there is nothing to add: the lengths already
     carry the tolerance bands at +-2.  Mutates lengths in place."""
     if int_mats is None:
         return
-    scale = np.exp2(np.clip(exp, None, 64).astype(float))
-    if np.iscomplexobj(tr_mant):
-        t = tr_mant * scale
-        gap = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
-    else:
-        gap = np.abs(np.abs(tr_mant) * scale - 2.0)
+    t = tr_mant * np.exp2(np.clip(exp, None, 64).astype(float))
+    gap = np.minimum(np.abs(t - 2.0), np.abs(t + 2.0))
     suspects = np.nonzero((exp <= 8) & (gap < 1e-3))[0]
     for i, w in zip(suspects, _engine.decode_rows(W[suspects], len(int_mats))):
         m = int_evaluate(int_mats, w.letters)
@@ -490,16 +518,25 @@ def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
             lengths[i] = 2.0 * math.log(half + math.sqrt(half * half - 1.0))
 
 
+def _integer_images(rep: Representation) -> list[IntMatrix] | None:
+    """The generators as integer matrices, or None unless each entry is a real
+    integer below 2^53 and each determinant exactly 1 (GroupElement's is relative)."""
+    ms = [g.m for g in rep.images]
+    if not all(((m.imag == 0) & (np.abs(m) < 2.0 ** 53) & (m == np.round(m))).all() for m in ms):
+        return None
+    mats = [tuple(map(tuple, m.real.astype(np.int64).tolist())) for m in ms]
+    return mats if all(a * d - b * c == 1 for (a, b), (c, d) in mats) else None
+
+
 def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
-              K: float = 50.0, window: int = 2, axis_check: bool = True,
-              int_images: tuple[list[IntMatrix], list[IntMatrix]] | None = None
-              ) -> PS2Report:
+              K: float = 50.0, window: int = 2, axis_check: bool = True) -> PS2Report:
     """For every primitive conjugacy class c with ||c|| <= length_cap,
     measure translation lengths in both representations, their ratios to
     ||c||, and (optionally) the two-sided K-quasi-geodesic inequalities for
     the orbit of the Cayley-graph axis over window*||c|| steps from the
     height-1 basepoint.  Reports the minimum over classes of the larger
-    ratio and the classes where an individual ratio vanishes.
+    ratio and the classes where an individual ratio vanishes.  Near-parabolic
+    traces are re-verified exactly for integer generators of determinant 1.
     """
     if rho1.rank != rho2.rank or rho1.field != rho2.field:
         raise ValueError("representations must share rank and field")
@@ -509,68 +546,31 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
         raise ValueError(f"K must be finite and >= 1, got {K}")
     n = rho1.rank
     eng = _engine.PackedEngine(n)
-    keys = eng.primitive_class_keys(length_cap)
-    tables = (generator_table(rho1.images), generator_table(rho2.images))
-    ints = int_images if int_images is not None else (None, None)
-
-    cols: dict[str, list[np.ndarray]] = {k: [] for k in
-                                         ("length", "keys", "l1", "l2",
-                                          "axis1", "axis2", "kfit1", "kfit2")}
-    for l in sorted(keys):
-        arr = keys[l]
-        for lo in range(0, arr.shape[0], BLOCK_ROWS):
-            ks = arr[lo:lo + BLOCK_ROWS]
-            W = _engine.unpack_keys(ks, l, eng.b)
-            N = W.shape[0]
-            cols["length"].append(np.full(N, l, dtype=np.int32))
-            cols["keys"].append(ks)
-            for slot, table, int_mats in zip("12", tables, ints):
-                P, E = _scaled_word_products(W, table)
-                trm = P[:, 0, 0] + P[:, 1, 1]
-                lengths = _lengths_from_scaled_traces(trm, E)
-                _near_parabolic_recheck(lengths, trm, E, W, int_mats)
-                if not np.isfinite(lengths).all():
-                    raise ValueError(f"non-finite translation length at length {l}")
-                ok, kf = np.zeros(N, dtype=bool), np.zeros(N, dtype=float)
-                if axis_check:
-                    ok, kf = _axis_checks(W, table, window, K)
-                cols["l" + slot].append(lengths)
-                cols["axis" + slot].append(ok)
-                cols["kfit" + slot].append(kf)
-
-    col = {k: np.concatenate(v) for k, v in cols.items()}
-    total = int(col["length"].shape[0])
-    L = col["length"].astype(float)
-    r1 = col["l1"] / L
-    r2 = col["l2"] / L
-    mx = np.maximum(r1, r2)
-    imin = int(np.argmin(mx))
-
-    def word_text(i: int) -> str:
-        l = int(col["length"][i])
-        W = _engine.unpack_keys(col["keys"][i:i + 1], l, eng.b)
-        return format_word(_engine.decode_rows(W, n)[0])
-
-    zeros1 = np.nonzero(col["l1"] == 0.0)[0]
-    zeros2 = np.nonzero(col["l2"] == 0.0)[0]
-    return PS2Report(
-        rank=n, field=rho1.field, length_cap=length_cap, K=K, window=window,
-        total_classes=total,
-        counts_by_length={l: int(k.size) for l, k in sorted(keys.items())},
-        min_max_ratio=float(mx[imin]),
-        argmin_class=word_text(imin),
-        zero_ratio_count_1=int(zeros1.size),
-        zero_ratio_count_2=int(zeros2.size),
-        zero_ratio_examples_1=[word_text(i) for i in zeros1[:5]],
-        zero_ratio_examples_2=[word_text(i) for i in zeros2[:5]],
-        axis_pass_count_1=int(col["axis1"].sum()),
-        axis_pass_count_2=int(col["axis2"].sum()),
-        axis_pass_either=int((col["axis1"] | col["axis2"]).sum()),
-        col_length=col["length"], col_keys=col["keys"],
-        col_l1=col["l1"], col_l2=col["l2"],
-        col_axis1=col["axis1"], col_axis2=col["axis2"],
-        col_kfit1=col["kfit1"], col_kfit2=col["kfit2"],
-    )
+    keys = sorted(eng.primitive_class_keys(length_cap).items())
+    col_keys = np.concatenate([k for _, k in keys])
+    col_length = np.concatenate([np.full(k.size, l, dtype=np.int32) for l, k in keys])
+    del keys
+    total = col_keys.size
+    col_l1, col_l2 = np.empty(total), np.empty(total)
+    col_axis1, col_axis2 = np.zeros(total, dtype=bool), np.zeros(total, dtype=bool)
+    col_kfit1, col_kfit2 = np.zeros(total), np.zeros(total)
+    slots = [(generator_table(rho1.images), _integer_images(rho1), col_l1, col_axis1, col_kfit1),
+             (generator_table(rho2.images), _integer_images(rho2), col_l2, col_axis2, col_kfit2)]
+    for lo, hi, l, W in _blocks(col_length, col_keys, eng.b):
+        for table, int_mats, col_l, col_axis, col_kfit in slots:
+            P, E = _scaled_word_products(W, table)
+            trm = P[:, 0, 0] + P[:, 1, 1]
+            lengths = col_l[lo:hi]
+            lengths[:] = _lengths_from_scaled_traces(trm, E)
+            _near_parabolic_recheck(lengths, trm, E, W, int_mats)
+            if not np.isfinite(lengths).all():
+                raise ValueError(f"non-finite translation length at length {l}")
+            if axis_check:
+                col_axis[lo:hi], col_kfit[lo:hi] = _axis_checks(W, table, window, K)
+    return PS2Report(rank=n, field=rho1.field, length_cap=length_cap, K=K, window=window,
+                     col_length=col_length, col_keys=col_keys, col_l1=col_l1, col_l2=col_l2,
+                     col_axis1=col_axis1, col_axis2=col_axis2,
+                     col_kfit1=col_kfit1, col_kfit2=col_kfit2)
 
 
 def demo_pipeline(length_cap: int = 12, K: float = 50.0, window: int = 2,
@@ -584,6 +584,5 @@ def demo_pipeline(length_cap: int = 12, K: float = 50.0, window: int = 2,
         m = find_twisting_exponent(rho0.punctures, *TWISTING_WORDS)
     pair = twisted_pair(rho0, m)
     report = ps2_probe(pair.rho1, pair.rho2, length_cap, K=K, window=window,
-                       axis_check=axis_check,
-                       int_images=(pair.int_images_1, pair.int_images_2))
+                       axis_check=axis_check)
     return report, pair, m

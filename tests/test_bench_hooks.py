@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from autrep import _engine, density, dynamics, nonmixing, whitehead
+from autrep import _engine, cli, density, dynamics, nonmixing, whitehead
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -43,6 +43,14 @@ BENCH_CALLS = [
     (density.SearchBudget, (5, 400, 30.0), {}),
     (dynamics.WalkConfig, (), dict(steps=20_000, seed=1, record_stride=10,
                                    overflow_guard=64.0, det_guard=1e-12)),
+    (nonmixing.PS2Report.write_csv, ("report", "path", 3, "line"), {}),
+    (cli.RunManifest, ("nonmixing demo", {}, None), {}),
+    (cli._emit, ("obj", "manifest", "path"), {}),
+    (cli._manifest_line, ("manifest",), {}),
+    (nonmixing.build_phi, (2, 1, "word"), {}),
+    (whitehead.decide_primitive, ("word",), {}),
+    (_engine.PackedEngine.connected_cutpoint_free_mask, ("engine", "W"), {}),
+    (density.DensityCertificate.loads, ("text",), {}),
 ]
 
 

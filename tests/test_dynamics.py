@@ -5,9 +5,10 @@ import pytest
 import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from autrep import dynamics
-from autrep.density import SearchBudget, TimeCapError
+from autrep.density import SearchBudget, TimeCapError, opnorm
 from autrep.dynamics import (
     SteerStageError,
     WalkConfig,
@@ -25,7 +26,15 @@ from autrep.dynamics import (
     su2_trace_pdf,
     walk_to_csv,
 )
-from autrep.sl2 import GroupElement, Representation, act, random_element, random_su2
+from autrep.freegroup import Word
+from autrep.sl2 import (
+    GroupElement,
+    Representation,
+    act,
+    evaluate,
+    random_element,
+    random_su2,
+)
 
 BUDGET = SearchBudget(max_word_length=40, max_candidates=200_000, time_cap_s=60.0)
 
@@ -292,6 +301,35 @@ class TestApproximateElement:
         assert not res.success
         assert res.distance > 0
 
+
+    @staticmethod
+    def _free_sanov(field):
+        return [GroupElement([[1, 2], [0, 1]], field), GroupElement([[1, 0], [2, 1]], field)]
+
+    def test_exact_noncompact_target(self):
+        S = self._free_sanov("real")
+        w = Word((1, 2, -1, 2), 2)
+        res = approximate_element(S, evaluate(Representation(S), w), 1e-9, SearchBudget(8, 600, 60))
+        assert res.success and res.distance == 0.0 and res.word == w
+        # levels of 4, 12, 36 and 108 words; the match ends the level it is on
+        assert res.examined == 160
+
+    @pytest.mark.parametrize("field,letters", [("real", (2, 2, 2, 2, 2, 2, 1, 1)),
+                                               ("complex", (1, 2, 1, 2, 1, 2, 1))])
+    def test_beam_past_the_exhaustive_levels(self, field, letters):
+        # 600 candidates: levels 1-5 (4, 12, 36, 108, 324 words) are kept
+        # whole; level 6 (972) is pruned to the beam, whose 3 * BEAM_WIDTH
+        # children make each later level
+        S = self._free_sanov(field)
+        rep = Representation(S)
+        w = Word(letters, 2)
+        nudge = expm(np.array([[1e-3, 2e-3], [-1e-3, -1e-3]]))
+        target = GroupElement(evaluate(rep, w).m @ nudge, field)
+        res = approximate_element(S, target, 1e-9, SearchBudget(8, 600, 60))
+        assert not res.success and res.word == w
+        assert res.distance == pytest.approx(opnorm(evaluate(rep, res.word).m - target.m),
+                                             rel=1e-12)
+        assert res.examined == sum(4 * 3 ** j for j in range(6)) + 2 * 3 * dynamics.BEAM_WIDTH
 
     def test_time_cap_raises_noncompact(self):
         target = GroupElement([[3, 1], [2, 1]])

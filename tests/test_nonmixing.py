@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autrep import _engine, nonmixing
+from autrep import _engine, jsonio, nonmixing
 from autrep.freegroup import FreeAutomorphism, Word, apply, format_word, reduce
 from autrep.nonmixing import (
     TwistingPreconditionError,
@@ -36,6 +36,22 @@ from autrep.whitehead import build_graph
 
 G1 = Word((2, 3, -2, -3), 3)
 G2 = Word((1, 3, -1, -3), 3)
+COLUMNS = ("col_length", "col_keys", "col_l1", "col_l2",
+           "col_axis1", "col_axis2", "col_kfit1", "col_kfit2")
+
+
+@pytest.fixture(scope="module")
+def demo9():
+    return demo_pipeline(9, 50.0, 2, True)
+
+
+def real_pair():
+    """A real pair with classes at trace exactly +-2 and one non-integral
+    generator, so it has no integer images."""
+    par = GroupElement([[1, 1], [0, 1]])
+    hyp = GroupElement([[2, 1], [1, 1]])
+    other = random_element(np.random.default_rng(1), "real", 0.8)
+    return Representation([par, hyp, other]), Representation([hyp, par, other])
 
 
 class TestFuchsian:
@@ -331,8 +347,7 @@ class TestProbe:
     def test_lengths_match_scalar_translation_length(self):
         rho0 = build_fuchsian_4punctured()
         pair = twisted_pair(rho0, 2)
-        rpt = ps2_probe(pair.rho1, pair.rho2, 4, K=50.0, window=2,
-                        int_images=(pair.int_images_1, pair.int_images_2))
+        rpt = ps2_probe(pair.rho1, pair.rho2, 4, K=50.0, window=2)
         b = _engine.bits_per_letter(3)
         for i in range(rpt.total_classes):
             l = int(rpt.col_length[i])
@@ -373,15 +388,11 @@ class TestProbe:
         # sha256 of col_l1 and col_l2 at L<=7 as computed when the probe also
         # ran a tolerance-band pass near trace +-2 without integer images;
         # the real triple has classes at trace exactly +-2 (x1, x2 parabolic)
-        par = GroupElement([[1, 1], [0, 1]])
-        hyp = GroupElement([[2, 1], [1, 1]])
-        other = random_element(np.random.default_rng(1), "real", 0.8)
         rng = np.random.default_rng(3)
         c1, c2 = (Representation([random_element(rng, "complex", 0.8) for _ in range(3)])
                   for _ in range(2))
         for rho1, rho2, digest in [
-            (Representation([par, hyp, other]), Representation([hyp, par, other]),
-             "e0485e1b2a1abce23b53cf0cc613ab34856c92e8bb2448ebe064a325155fae44"),
+            (*real_pair(), "e0485e1b2a1abce23b53cf0cc613ab34856c92e8bb2448ebe064a325155fae44"),
             (c1, c2, "89557e4711203075a44037ef62a7ec6c4f490a4529797e38633229f4dcb383e6"),
         ]:
             rpt = ps2_probe(rho1, rho2, 7, axis_check=False)
@@ -430,6 +441,24 @@ class TestProbe:
         want = primitive_class_count(3, 5)
         assert rpt.counts_by_length == want
         assert rpt.total_classes == sum(want.values())
+
+    def test_write_csv_rejects_another_rank(self, tmp_path):
+        # rank 2 would decode the class x3 of this rank-3 report as x1
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        rpt = ps2_probe(pair.rho1, pair.rho2, 2, axis_check=False)
+        with pytest.raises(ValueError, match="rank 2"):
+            rpt.write_csv(str(tmp_path / "rows.csv"), 2)
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_columns_do_not_depend_on_block_rows(self, monkeypatch):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        want = ps2_probe(pair.rho1, pair.rho2, 6, K=5.0, window=2)
+        monkeypatch.setattr(nonmixing, "BLOCK_ROWS", 97)
+        got = ps2_probe(pair.rho1, pair.rho2, 6, K=5.0, window=2)
+        assert 0 < want.axis_pass_count_1 < want.total_classes
+        for c in COLUMNS:
+            assert np.array_equal(getattr(got, c), getattr(want, c)), c
+        assert got.to_obj() == want.to_obj()
 
     def test_csv_and_json(self, tmp_path):
         rho0 = build_fuchsian_4punctured()
@@ -491,8 +520,8 @@ class TestProbe:
 
 
 class TestDemoPipeline:
-    def test_small_cap_headline_properties(self):
-        report, pair, m = demo_pipeline(length_cap=9, K=50.0, window=2)
+    def test_small_cap_headline_properties(self, demo9):
+        report, pair, m = demo9
         assert m == 2
         assert report.min_max_ratio > 0
         assert report.zero_ratio_count_1 > 0
@@ -501,3 +530,72 @@ class TestDemoPipeline:
         w1 = format_word(apply(pair.phi1, Word((1,), 3)))
         assert w1 in report.zero_ratio_examples_1
         assert report.check_ratio_axis_consistency() == 0
+
+
+def artifact_digests(rpt, tmp_path):
+    """sha256 of the eight columns in order, of the to_obj() JSON and of
+    the CSV bytes."""
+    cols = hashlib.sha256()
+    for c in COLUMNS:
+        cols.update(getattr(rpt, c).tobytes())
+    csv = tmp_path / "rows.csv"
+    rpt.write_csv(str(csv), rpt.rank, "manifest: {}")
+    return (cols.hexdigest(), hashlib.sha256(jsonio.dumps(rpt.to_obj()).encode()).hexdigest(),
+            hashlib.sha256(csv.read_bytes()).hexdigest())
+
+
+class TestArtifactPins:
+    # recorded when the probe concatenated per-block columns, built the
+    # summary itself and took the twisted pair's integer images as an argument
+
+    def test_demo_pipeline_to_9(self, demo9, tmp_path):
+        assert artifact_digests(demo9[0], tmp_path) == (
+            "64871e8f46a2256a564b19a7653eae94ec0e70e73a838073b46a49c3564d69f4",
+            "f033616e1b45192056f14d7acff81af3caf5abd9c30110c29739a398f7356fb5",
+            "18496d77a23f6a0cab0cfea9b26838f5125c991fb1ee8feb3482afe0623ee68b")
+
+    def test_real_pair_to_7(self, tmp_path):
+        rpt = ps2_probe(*real_pair(), 7)
+        assert artifact_digests(rpt, tmp_path) == (
+            "2c450fa596db6f5e417d80dc1b850da502a6b250c6634cf2b65293218c476aa4",
+            "acaf683b0ae79b99e5c21aceb69d7c77f7a9964d7148153c5eb73fbe6df5b4cd",
+            "c9471f0e24c758463b644c4a5633f0ebd8f6b0a9e6de828cfe1c740ed031bcdb")
+
+
+class TestIntegerImages:
+    def test_twisted_pair_images(self):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        assert nonmixing._integer_images(pair.rho1) == pair.int_images_1
+        assert nonmixing._integer_images(pair.rho2) == pair.int_images_2
+
+    def test_complex_tag_with_zero_imaginary_part(self):
+        rep = Representation([GroupElement([[2, 1], [1, 1]], "complex"),
+                              GroupElement([[1, 0], [-3, 1]], "complex")])
+        assert nonmixing._integer_images(rep) == [((2, 1), (1, 1)), ((1, 0), (-3, 1))]
+
+    def test_no_images(self):
+        hyp = GroupElement([[2, 1], [1, 1]])
+        # determinant exactly 2, inside GroupElement's relative tolerance
+        det2 = GroupElement([[10 ** 8, 2], [4999999999999999, 10 ** 8]])
+        imag = GroupElement([[1, 1j], [0, 1]], "complex")
+        assert nonmixing._integer_images(Representation([hyp, det2])) is None
+        assert nonmixing._integer_images(real_pair()[0]) is None
+        assert nonmixing._integer_images(
+            Representation([GroupElement([[2, 1], [1, 1]], "complex"), imag])) is None
+
+    def test_probe_rechecks_with_derived_images(self, monkeypatch):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        seen = []
+        real = nonmixing._near_parabolic_recheck
+
+        def recorder(lengths, tr_mant, exp, W, int_mats):
+            seen.append(int_mats)
+            real(lengths, tr_mant, exp, W, int_mats)
+        monkeypatch.setattr(nonmixing, "_near_parabolic_recheck", recorder)
+        rpt = ps2_probe(pair.rho1, pair.rho2, 8)
+        assert seen[:2] == [pair.int_images_1, pair.int_images_2]
+        assert all(m in (pair.int_images_1, pair.int_images_2) for m in seen)
+        monkeypatch.undo()
+        want = demo_pipeline(8)[0]
+        for c in COLUMNS:
+            assert np.array_equal(getattr(rpt, c), getattr(want, c)), c
