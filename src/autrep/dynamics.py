@@ -285,6 +285,35 @@ def _su2_quat(batch: np.ndarray) -> np.ndarray:
                      batch[:, 0, 1].real, batch[:, 0, 1].imag], axis=1)
 
 
+def _sphere_products(mats: np.ndarray, table: np.ndarray, nib: np.ndarray,
+                     parent: np.ndarray) -> np.ndarray:
+    """np.einsum("bij,bjk->bik", mats[parent], table[nib]) bit for bit: every
+    parent times every table entry (as scalars), picked out in sphere_children's
+    parent-major order.  Complex products are split real, as einsum's loop forms
+    them (numpy's * and @ round otherwise); + 0.0 matches its sum's +0.0 start."""
+    pick = nib.astype(np.int64) * mats.shape[0] + parent
+    out = np.empty((pick.shape[0], 2, 2), dtype=mats.dtype)
+    split = mats.dtype.kind == "c"
+    planes = out.view(np.float64).reshape(-1, 2, 2, 2) if split else out[..., None]
+    # pr[i, j] is the column of parent entries (i, j); tr[:, j, k] the table's
+    pr, tr = mats.real.transpose(1, 2, 0).copy(), table.real[..., None]
+    if split:
+        pi, ti = mats.imag.transpose(1, 2, 0).copy(), table.imag[..., None]
+    for i in range(2):
+        for k in range(2):
+            if split:
+                re = ((pr[i, 0] * tr[:, 0, k] - pi[i, 0] * ti[:, 0, k])
+                      + (pr[i, 1] * tr[:, 1, k] - pi[i, 1] * ti[:, 1, k]))
+                im = ((pr[i, 0] * ti[:, 0, k] + pi[i, 0] * tr[:, 0, k])
+                      + (pr[i, 1] * ti[:, 1, k] + pi[i, 1] * tr[:, 1, k]))
+                planes[:, i, k, 1] = im.ravel()[pick]
+            else:
+                re = pr[i, 0] * tr[:, 0, k] + pr[i, 1] * tr[:, 1, k]
+            planes[:, i, k, 0] = re.ravel()[pick]
+    out += 0.0
+    return out
+
+
 def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: float):
     """Breadth-first word spheres with global dedup of discretized group
     elements, up to max_level letters or cap distinct points.
@@ -312,7 +341,7 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
     for _ in range(max_level):
         child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
                                                     table.shape[0])
-        child = np.einsum("bij,bjk->bik", mats[parent], table[child_nib])
+        child = _sphere_products(mats, table, child_nib, parent)
         keys = quat_keys(child)
         _, first = np.unique(keys, return_index=True)
         pos = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
@@ -328,6 +357,20 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
         if total >= cap:
             break
     return levels, mats_levels
+
+
+def _uh_t_quats(mats: np.ndarray, tm: np.ndarray) -> np.ndarray:
+    """Quaternions of u^-1 tm for unitary u in mats: the first rows of u^H tm,
+    conj(u00) t0k + conj(u10) t1k, in the arithmetic of _sphere_products."""
+    col = mats[:, :, 0].T.copy()
+    ur, ui = col.real, col.imag
+    out = np.empty((4, mats.shape[0]))
+    for k in range(2):
+        (xr, yr), (xi, yi) = tm[:, k].real, tm[:, k].imag
+        out[2 * k] = (ur[0] * xr + ui[0] * xi) + (ur[1] * yr + ui[1] * yi)
+        out[2 * k + 1] = (ur[0] * xi - ui[0] * xr) + (ur[1] * yi - ui[1] * yr)
+    out += 0.0
+    return out.T
 
 
 # every MEET_SAMPLE_STRIDE-th left factor is queried first; its nearest
@@ -370,15 +413,18 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
         return _engine.backtrack(levels, lev, i - int(starts[lev]))
 
     quats = _su2_quat(all_mats)
-    tree = cKDTree(quats)
+    # queries are exact on any tree shape; this build is the cheapest
+    tree = cKDTree(quats, balanced_tree=False, compact_nodes=False)
     tm = target.m.astype(np.complex128)
-    # u^-1 target for every u (u unitary: inverse is the conjugate transpose)
-    ut = np.einsum("nji,jk->nik", all_mats.conj(), tm)
-    uq = _su2_quat(ut)
+    uq = _uh_t_quats(all_mats, tm)
     sample_min = float(tree.query(uq[::MEET_SAMPLE_STRIDE], k=1)[0].min())
     # the bound is strict; an exact match (distance 0) queries unbounded
     bound = sample_min * (1.0 + 1e-9) or np.inf
-    dists, idxs = tree.query(uq, k=1, distance_upper_bound=bound)
+    # u -> u^-1 target is an isometry: in the tree's point order,
+    # consecutive queries visit nearby cells
+    order = tree.indices
+    dists, idxs = np.empty(uq.shape[0]), np.empty(uq.shape[0], dtype=np.intp)
+    dists[order], idxs[order] = tree.query(uq[order], k=1, distance_upper_bound=bound)
     if time.monotonic() - t0 > budget.time_cap_s:
         raise TimeCapError(budget.time_cap_s, quats.shape[0] ** 2)
     best_u = int(np.argmin(dists))
@@ -453,7 +499,7 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
             raise TimeCapError(budget.time_cap_s, examined)
         child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
                                                     table.shape[0])
-        child = np.einsum("bij,bjk->bik", mats[parent], table[child_nib])
+        child = _sphere_products(mats, table, child_nib, parent)
         dists = _opnorms(child - tm)
         examined += child.shape[0]
         imin = int(np.argmin(dists))

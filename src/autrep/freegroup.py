@@ -224,12 +224,15 @@ def apply(a: FreeAutomorphism, w: Word) -> Word:
 
 
 def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:
-    """a after b: compose(a, b)(w) = a(b(w))."""
+    """a after b: compose(a, b)(w) = a(b(w)).
+
+    Its inverse images b^-1(a^-1(x_i)) are a two-sided inverse whenever a's
+    and b's are, so the check, the main cost on long images, is skipped."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
     images = tuple(apply(a, w) for w in b.images)
     inverse_images = tuple(apply(b.inverse(), w) for w in a.inverse_images)
-    return FreeAutomorphism(images, inverse_images)
+    return FreeAutomorphism(images, inverse_images, _checked=True)
 
 
 def nielsen_generators(n: int) -> list[FreeAutomorphism]:

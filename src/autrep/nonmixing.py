@@ -132,8 +132,8 @@ def _check_twisting_word(g: Word, distinguished: int) -> None:
 def build_phi(m: int, variant: int, g: Word) -> FreeAutomorphism:
     """The twisting automorphism: with d the distinguished generator (x1 for
     variant 1, x2 for variant 2), d -> d g^m and x_i -> x_i d g^m for the
-    others.  Assembled as a composition of Nielsen moves, so invertibility
-    is verified along the way.
+    others.  Assembled as a composition of Nielsen moves, so its inverse
+    images are those of the moves composed in reverse.
     """
     if m < 1:
         raise ValueError("twisting exponent m must be >= 1")
@@ -335,6 +335,14 @@ class PS2Report:
         self.axis_pass_count_1 = int(self.col_axis1.sum())
         self.axis_pass_count_2 = int(self.col_axis2.sum())
         self.axis_pass_either = int((self.col_axis1 | self.col_axis2).sum())
+
+    def __eq__(self, other: object) -> bool:
+        # the generated __eq__ takes the truth value of an array comparison
+        return isinstance(other, PS2Report) and self.to_obj() == other.to_obj() and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+            for f in fields(self) if not f.repr)
+
+    __hash__ = None  # unhashable, as the generated class was
 
     def _class_text(self, i: int) -> str:
         W = _engine.unpack_keys(self.col_keys[i:i + 1], int(self.col_length[i]),

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from autrep import dynamics
+from autrep import _engine, dynamics
 from autrep.density import SearchBudget, TimeCapError, opnorm
 from autrep.dynamics import (
     SteerStageError,
@@ -32,6 +34,7 @@ from autrep.sl2 import (
     Representation,
     act,
     evaluate,
+    generator_table,
     random_element,
     random_su2,
 )
@@ -359,6 +362,135 @@ class TestApproximateElement:
             approximate_element(real, random_element(rng, "complex", 0.5), 1e-3, BUDGET)
         with pytest.raises(ValueError, match="mixed field"):
             approximate_element([real[0], random_su2(rng)], real[1], 1e-3, BUDGET)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# entries that make products of exact zeros, signed zeros included
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                   st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+class TestSphereProductKernel:
+    """The split-real kernels against the einsum they replace, bit for bit."""
+
+    @staticmethod
+    def _table(data, kind, k):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        if kind == "su2":
+            return generator_table([random_su2(rng) for _ in range(k)])
+        if data.draw(st.booleans()):
+            return generator_table([random_element(rng, kind, 0.7) for _ in range(k)])
+        # arbitrary entries, not group elements: the kernel only multiplies
+        shape = (2 * k, 2, 2)
+        table = np.array(data.draw(st.lists(_ENTRY, min_size=8 * k, max_size=8 * k)))
+        table = table.reshape(shape)
+        if kind == "complex":
+            imag = data.draw(st.lists(_ENTRY, min_size=8 * k, max_size=8 * k))
+            table = table + 1j * np.array(imag).reshape(shape)
+        return table
+
+    @given(st.data(), st.sampled_from(["real", "complex", "su2"]), st.integers(1, 3),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_sphere_products_equal_einsum(self, data, kind, k, depth):
+        table = self._table(data, kind, k)
+        mats = np.eye(2, dtype=table.dtype)[None]
+        nib = None
+        for _ in range(depth):
+            nib, parent = _engine.sphere_children(nib, 2 * k)
+            if nib.shape[0] > 1000:
+                # a parent-major subset, as the beam and the subsampled
+                # levels keep
+                keep = np.sort(np.random.default_rng(depth).choice(nib.shape[0], 1000, False))
+                nib, parent = nib[keep], parent[keep]
+            want = np.einsum("bij,bjk->bik", mats[parent], table[nib])
+            got = dynamics._sphere_products(mats, table, nib, parent)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+            mats = want
+
+    @given(st.data(), st.sampled_from(["complex", "su2"]), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_first_row_of_uh_t_equals_einsum(self, data, kind, k):
+        mats = self._table(data, kind, k).astype(np.complex128)
+        tm = self._table(data, kind, 1)[0].astype(np.complex128)
+        want = np.einsum("nji,jk->nik", mats.conj(), tm)[:, 0]
+        got = dynamics._uh_t_quats(mats, tm)
+        assert np.array_equal(_bits(got), _bits(want.view(np.float64)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros_equal_einsum(self, seed):
+        # entries of ±0 and ±1 in both parts: many sums of two -0.0 products,
+        # which einsum's zero-started sum turns into +0.0
+        rng = np.random.default_rng(seed)
+        parts = rng.choice([0.0, -0.0, 1.0, -1.0], size=(2, 4096 + 6, 2, 2))
+        cplx = np.empty(parts.shape[1:], dtype=np.complex128)
+        cplx.real, cplx.imag = parts
+        mats, table = cplx[:4096], cplx[4096:]
+        last = rng.integers(0, 6, size=4096).astype(np.int16)
+        nib, parent = _engine.sphere_children(last, 6)
+        want = np.einsum("bij,bjk->bik", mats[parent], table[nib])
+        assert np.array_equal(_bits(dynamics._sphere_products(mats, table, nib, parent)),
+                              _bits(want))
+        want = np.einsum("bij,bjk->bik", parts[0][:4096][parent], parts[0][4096:][nib])
+        assert np.array_equal(_bits(dynamics._sphere_products(
+            parts[0][:4096], parts[0][4096:], nib, parent)), _bits(want))
+        want = np.einsum("nji,jk->nik", mats.conj(), table[0])[:, 0]
+        assert np.array_equal(_bits(dynamics._uh_t_quats(mats, table[0])),
+                              _bits(want.view(np.float64)))
+
+
+# sha256 of steer and approximate_element outputs, recorded before the
+# split-real kernels, the first-row meet and the unbalanced tree replaced
+# the einsum products and the balanced tree: any change to the arithmetic
+# or to the nearest-neighbour answers that moves a word shows here
+STEER_PIN = "1b8ffe21ddd4b2549ca7ab9390d444bcb461b7faf7238b74dcb97f18186940d1"
+APPROX_PINS = {
+    "su2": "5cf168b699a962eecc9e26fad1d55acb7f6c21cd91d920b29408f3c3469c75ba",
+    "real": "9bf55e00649488a87f80a0117803d07f43316f26f484ac2f2a170114e551314d",
+    "complex": "f988b20aec0c4444a03b532ff9183721719216025b398672dcda124f199ba22f",
+}
+PIN_BUDGET = SearchBudget(24, 20_000, 60.0)
+
+
+class TestOutputPins:
+    def test_steer(self):
+        h = hashlib.sha256()
+        for seed in (31, 32):
+            rng = np.random.default_rng(seed)
+            phi = Representation([random_su2(rng) for _ in range(3)])
+            psi = Representation([random_su2(rng) for _ in range(3)])
+            res = steer(phi, psi, 0.15, PIN_BUDGET, seed=seed)
+            h.update(json.dumps(res.to_obj(), sort_keys=True).encode())
+        assert h.hexdigest() == STEER_PIN
+
+    @pytest.mark.parametrize("field", ["su2", "real", "complex"])
+    def test_approximate_element(self, field):
+        rng = np.random.default_rng({"su2": 41, "real": 42, "complex": 43}[field])
+        if field == "su2":
+            S = [random_su2(rng) for _ in range(2)]
+            targets = [random_su2(rng) for _ in range(5)]
+            epsilon = 0.05
+        else:
+            # targets a small step from random words: the beam has to find them
+            S = [random_element(rng, field, 0.7) for _ in range(2)]
+            targets = []
+            for _ in range(5):
+                letters = rng.choice([1, 2, -1, -2], size=int(rng.integers(3, 9)))
+                w = Word(tuple(int(v) for v in letters), 2)
+                a, b, c = 0.02 * rng.normal(size=3)
+                nudge = expm(np.array([[a, b], [c, -a]]))
+                targets.append(GroupElement(evaluate(Representation(S), w).m @ nudge, field))
+            epsilon = 0.01
+        h = hashlib.sha256()
+        for target in targets:
+            r = approximate_element(S, target, epsilon, SearchBudget(10, 2000, 60.0))
+            h.update(repr((r.word.letters, r.distance, r.success, r.examined)).encode())
+        assert h.hexdigest() == APPROX_PINS[field]
 
 
 class _UnboundedTree(scipy.spatial.cKDTree):

@@ -137,6 +137,22 @@ class TestApplyCompose:
     def test_apply_respects_composition(self, a, b, w):
         assert apply(compose(a, b), w) == apply(a, apply(b, w))
 
+    @given(st.data(), st.integers(2, 4), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_composite_carries_a_two_sided_inverse(self, data, n, moves):
+        # compose skips the inverse check: its inverse images are exact by
+        # construction, which the explicit check confirms on random chains
+        pool = nielsen_generators(n) + whitehead_automorphisms(n)
+        chain = data.draw(st.lists(st.sampled_from(pool), min_size=moves, max_size=moves))
+        c = FreeAutomorphism.identity(n)
+        for a in chain:
+            b = c
+            c = compose(a, b)
+            c._verify_inverse()
+            w = data.draw(word_strategy(n, 8))
+            assert apply(c, w) == apply(a, apply(b, w))
+            assert apply(c.inverse(), apply(c, w)) == w
+
     @given(automorphism_strategy(3), word_strategy(3, 8), word_strategy(3, 4))
     @settings(max_examples=60, deadline=None)
     def test_cyclic_length_is_class_function(self, a, w, u):

@@ -460,6 +460,19 @@ class TestProbe:
             assert np.array_equal(getattr(got, c), getattr(want, c)), c
         assert got.to_obj() == want.to_obj()
 
+    def test_reports_compare_by_summary_and_columns(self):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        a = ps2_probe(pair.rho1, pair.rho2, 3)
+        b = ps2_probe(pair.rho1, pair.rho2, 3)
+        assert a == b and not a != b
+        b.col_l1 = b.col_l1.copy()
+        b.col_l1[1] += 1.0
+        assert a != b and b != a
+        assert a.to_obj() == b.to_obj()
+        assert a != a.to_obj()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
     def test_csv_and_json(self, tmp_path):
         rho0 = build_fuchsian_4punctured()
         pair = twisted_pair(rho0, 2)
