@@ -289,6 +289,15 @@ def _blocks(col_length: np.ndarray, col_keys: np.ndarray, b: int):
         yield lo, hi, l, _engine.unpack_keys(col_keys[lo:hi], l, b)
 
 
+def _texts(col: np.ndarray, fmt) -> list[str]:
+    """fmt of every entry, each distinct value formatted once: the axis flags
+    and the fits take few values, since a fit is mostly set by short segments
+    that many classes share.  (np.unique merges -0.0 into 0.0; neither column
+    holds -0.0.)"""
+    values, at = np.unique(col, return_inverse=True)
+    return np.array(list(map(fmt, values.tolist())), dtype=object)[at].tolist()
+
+
 @dataclass
 class PS2Report:
     rank: int
@@ -370,7 +379,7 @@ class PS2Report:
         if n != self.rank:
             raise ValueError(f"rank {n} does not match the report's rank {self.rank}")
         r1, r2 = self.ratios()
-        mx = np.maximum(r1, r2)
+        first = r1 >= r2  # max_ratio is the r1 text there, the r2 text elsewhere
         g17, g6 = "{:.17g}".format, "{:.6g}".format
         with open(path, "w") as f:
             if manifest_line is not None:
@@ -381,11 +390,13 @@ class PS2Report:
                                         _engine.bits_per_letter(n)):
                 # column by column over tolist(): Python floats format faster than numpy scalars
                 cols = [map(" ".join, _TOKEN_OF_NIB[W].tolist()), [str(l)] * (hi - lo)]
-                cols += [map(g17, c[lo:hi].tolist())
-                         for c in (self.col_l1, self.col_l2, r1, r2, mx)]
-                cols += [map(str, c[lo:hi].astype(np.uint8).tolist())
+                cols += [map(g17, c[lo:hi].tolist()) for c in (self.col_l1, self.col_l2)]
+                t1, t2 = (list(map(g17, c[lo:hi].tolist())) for c in (r1, r2))
+                cols += [t1, t2, [a if f else b
+                                  for a, b, f in zip(t1, t2, first[lo:hi].tolist())]]
+                cols += [_texts(c[lo:hi].view(np.uint8), str)
                          for c in (self.col_axis1, self.col_axis2)]
-                cols += [map(g6, c[lo:hi].tolist()) for c in (self.col_kfit1, self.col_kfit2)]
+                cols += [_texts(c[lo:hi], g6) for c in (self.col_kfit1, self.col_kfit2)]
                 f.write("".join([",".join(row) + "\n" for row in zip(*cols)]))
 
     def check_ratio_axis_consistency(self) -> int:
@@ -400,17 +411,37 @@ class PS2Report:
         return bad1 + bad2
 
 
-def _scaled_step(P: np.ndarray, E: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """One step of scaled products mant * 2^E; rows 0-3 of P and G hold the
-    entries 00, 01, 10, 11.  Multiplies P by G, then moves the power of two of
-    each entry maximum into E (in place): an exact rescale to unit scale."""
+def _step_buffers(n: int, dtype) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Two (4, n) identity products to ping-pong between, and _scaled_step's
+    scratch: one row of products, the (4, n) entry magnitudes, the exponents."""
+    P, Q = np.zeros((2, 4, n), dtype)
+    P[[0, 3]] = 1.0
+    return P, Q, (np.empty(n, dtype), np.empty((4, n)), np.empty(n, np.intc))
+
+
+def _scaled_step(P: np.ndarray, E: np.ndarray, G: np.ndarray, out: np.ndarray,
+                 scratch: tuple[np.ndarray, ...]) -> None:
+    """One step of scaled products mant * 2^E; rows 0-3 of P, G and out hold
+    the entries 00, 01, 10, 11.  Writes P times G into out, then moves the
+    power of two of each entry maximum into E (in place): an exact rescale to
+    unit scale.  Allocates nothing: scratch comes from _step_buffers."""
+    tmp, mag, ex = scratch
     a, b, c, d = P
     ga, gb, gc, gd = G
-    P = np.stack((a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd))
-    _, ex = np.frexp(np.abs(P).max(axis=0))
+    for o, x, y, u, v in ((out[0], a, ga, b, gc), (out[1], a, gb, b, gd),
+                          (out[2], c, ga, d, gc), (out[3], c, gb, d, gd)):
+        np.multiply(x, y, out=o)
+        np.multiply(u, v, out=tmp)
+        o += tmp
+    np.abs(out, out=mag)
+    top = mag[0]
+    for row in mag[1:]:
+        np.maximum(top, row, out=top)
+    np.frexp(top, out=(top, ex))
     E += ex
-    P *= np.exp2(-ex.astype(float))
-    return P
+    np.negative(ex, out=ex)
+    np.exp2(ex, out=top)
+    out *= top
 
 
 def _scaled_word_products(W: np.ndarray, table: np.ndarray):
@@ -419,11 +450,15 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
     overflow."""
     N, l = W.shape
     comp = table.reshape(-1, 4).T.copy()  # comp[e, c]: entry e of table[c]
-    P = np.zeros((4, N), dtype=table.dtype)
-    P[[0, 3]] = 1.0
+    if W.size and W.max() >= comp.shape[1]:  # np.take's "clip" below would not raise
+        raise IndexError(f"W has letter indices beyond the {comp.shape[1]} table matrices")
+    P, Q, scratch = _step_buffers(N, table.dtype)
+    G = np.empty_like(P)
     E = np.zeros(N, dtype=np.int64)
     for j in range(l):
-        P = _scaled_step(P, E, comp[:, W[:, j]])
+        np.take(comp, W[:, j], axis=1, out=G, mode="clip")
+        _scaled_step(P, E, G, Q, scratch)
+        P, Q = Q, P
     return P.T.reshape(N, 2, 2), E
 
 
@@ -462,6 +497,37 @@ def _lengths_from_scaled_traces(tr_mant: np.ndarray, exp: np.ndarray) -> np.ndar
     return out
 
 
+def _distances(logX: np.ndarray) -> np.ndarray:
+    """d = arccosh(X) from log X, as log X + ln 2 where X is beyond exp's reach."""
+    return np.where(logX < 30.0, np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
+                    logX + _LN2)
+
+
+def _step_verdicts(logX: np.ndarray, delta: int, K: float) -> tuple[np.ndarray, np.ndarray]:
+    """The interval test delta/K - K <= d <= K*delta + K over each column of
+    logX (one row per offset s), and the column's largest fit
+    max(d/(delta+1), (-d + sqrt(d^2 + 4 delta))/2), as if every entry had
+    been tested and fitted on its own.
+
+    d is non-decreasing in log X (exp and arccosh are monotone as evaluated),
+    so the test holds for the column exactly when it holds at the column's
+    min and max of log X, and the rising branch d/(delta+1) peaks at the max.
+    The falling branch peaks at the min in real arithmetic, but rounding can
+    lift it at a larger d by up to 2^-51 sqrt(d_max^2 + 4 delta); in the
+    columns where it comes within four times that of the rising branch, it
+    is taken over every entry."""
+    ends = np.concatenate((logX.min(axis=0), logX.max(axis=0)))
+    d_min, d_max = np.split(_distances(ends), 2)
+    good = (d_max <= K * delta + K) & (d_min >= delta / K - K)
+    rising = d_max / (delta + 1.0)
+    falling = (-d_min + np.sqrt(d_min * d_min + 4.0 * delta)) / 2.0
+    near = falling + 2.0 ** -49 * np.sqrt(d_max * d_max + 4.0 * delta) >= rising
+    if near.any():
+        d = _distances(logX[:, near])
+        falling[near] = ((-d + np.sqrt(d * d + 4.0 * delta)) / 2.0).max(axis=0)
+    return good, np.maximum(rising, falling)
+
+
 def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided K-quasi-geodesic test over all axis-point pairs (s, t),
@@ -474,33 +540,47 @@ def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
     and, the verdict being an AND and the fit a max, only offsets s < ||c||
     are computed, advancing together in blocks of about AXIS_BLOCK entries.
     Each step rescales by an exact power of two, so every segment gets the
-    mantissa and exponent it would get multiplied out alone."""
+    mantissa and exponent it would get multiplied out alone.
+
+    Per step t - s, log X = log(||seg||_F^2 / 2) is computed for every
+    segment, but the verdict and the fit are read from each row's min and max
+    of log X: d is non-decreasing in log X, the interval test is a bound on
+    each side, and the fit is a branch rising in d plus one falling in d (see
+    _step_verdicts for the rounding of the falling one).  So only those two
+    values per row need arccosh, and the result is the same bits as testing
+    and fitting every segment."""
     N, l = W.shape
     T = window * l
-    S = min(l, T)
     ok = np.ones(N, dtype=bool)
     kfit = np.zeros(N, dtype=float)
     comp = table.reshape(-1, 4).T.copy()
-    rows = max(1, AXIS_BLOCK // max(S, 1))
+    rows = max(1, AXIS_BLOCK // max(l, 1))
+    real = not np.iscomplexobj(table)
     for lo in range(0, N, rows):
         Wb = W[lo:lo + rows]
         nb = Wb.shape[0]
-        G = comp[:, Wb.T[np.arange(T) % l]].reshape(4, -1)  # column t*nb + r: position t, row r
-        P = np.zeros((4, S * nb), dtype=table.dtype)
-        P[[0, 3]] = 1.0
-        E = np.zeros(S * nb, dtype=np.int64)
+        # column t*nb + r: position t, row r
+        G = np.take(comp, Wb.T[np.arange(T) % l], axis=1).reshape(4, -1)
+        P, Q, scratch = _step_buffers(l * nb, table.dtype)
+        mag = scratch[1]
+        E = np.zeros(l * nb, dtype=np.int64)
         for delta in range(1, T + 1):
-            live = min(S, T - delta + 1) * nb  # column s*nb + r: offset s, row r
+            live = min(l, T - delta + 1) * nb  # column s*nb + r: offset s, row r
             E = E[:live]
-            P = _scaled_step(P[:, :live], E, G[:, (delta - 1) * nb:][:, :live])
-            logX = np.log(np.maximum((np.abs(P) ** 2).sum(axis=0) / 2.0, 1e-300)) + E * (2 * _LN2)
-            d = np.where(logX < 30.0,
-                         np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
-                         logX + _LN2)
-            good = (d <= K * delta + K) & (d >= delta / K - K)
-            fit = np.maximum(d / (delta + 1.0), (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0)
-            ok[lo:lo + nb] &= good.reshape(-1, nb).all(axis=0)
-            kfit[lo:lo + nb] = np.maximum(kfit[lo:lo + nb], fit.reshape(-1, nb).max(axis=0))
+            _scaled_step(P[:, :live], E, G[:, (delta - 1) * nb:][:, :live], Q[:, :live],
+                         tuple(s[..., :live] for s in scratch))
+            P, Q = Q[:, :live], P[:, :live]
+            f2, e2, m = mag[0, :live], mag[1, :live], mag[:, :live]
+            # ||seg||_F^2, adding the entries' |.|^2 in the order 00, 01, 10, 11
+            np.square(P if real else np.abs(P, out=m), out=m)
+            for row in m[1:]:
+                f2 += row
+            f2 /= 2.0
+            logX = np.log(np.maximum(f2, 1e-300, out=f2), out=f2)
+            logX += np.multiply(E, 2 * _LN2, out=e2)
+            good, fit = _step_verdicts(logX.reshape(-1, nb), delta, K)
+            ok[lo:lo + nb] &= good
+            kfit[lo:lo + nb] = np.maximum(kfit[lo:lo + nb], fit)
     return ok, kfit
 
 

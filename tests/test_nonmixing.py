@@ -222,6 +222,44 @@ class TestScaledProducts:
         bound = math.prod(np.abs(rep.images[abs(v) - 1].m).sum() for v in w.letters)
         assert np.abs(P[0] * np.exp2(float(E[0])) - want).max() <= 1e-12 * bound
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1),
+           st.permutations([1, 2, 97]), st.integers(1, 12), st.integers(1, 12))
+    def test_bits_match_allocating_reference(self, field, seed, sizes, l1, l2):
+        # two calls of different widths: nothing may carry over between them
+        rng = np.random.default_rng(seed)
+        table = generator_table([random_element(rng, field, 1.5) for _ in range(3)])
+        for N, l in ((sizes[0], l1), (sizes[1], l2)):
+            W = rng.integers(0, 6, size=(N, l)).astype(np.uint8)
+            P, E = _scaled_word_products(W, table)
+            want_P, want_E = reference_word_products(W, table)
+            assert P.tobytes() == want_P.tobytes()
+            assert np.array_equal(E, want_E)
+
+    def test_rejects_letters_beyond_the_table(self):
+        table = generator_table([GroupElement.identity()] * 3)
+        with pytest.raises(IndexError):
+            _scaled_word_products(np.array([[0, 6]], dtype=np.uint8), table)
+
+
+def reference_word_products(W, table):
+    """The scaled products with fresh arrays at every step: the four entry
+    products stacked, then the power of two of each column's entry maximum
+    moved into the exponent."""
+    N, l = W.shape
+    comp = table.reshape(-1, 4).T
+    P = np.zeros((4, N), dtype=table.dtype)
+    P[[0, 3]] = 1.0
+    E = np.zeros(N, dtype=np.int64)
+    for j in range(l):
+        a, b, c, d = P
+        ga, gb, gc, gd = comp[:, W[:, j]]
+        P = np.stack((a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd))
+        _, ex = np.frexp(np.abs(P).max(axis=0))
+        E += ex
+        P *= np.exp2(-ex.astype(float))
+    return P.T.reshape(N, 2, 2), E
+
 
 def _mul2(A, B):
     # written out: numpy's `@` on 2x2 float64 goes through BLAS, whose fused
@@ -310,6 +348,44 @@ class TestAxisChecks:
         assert 0 < ok.sum() < N
         assert np.array_equal(ok, want_ok)
         assert np.array_equal(kfit, want_kfit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6),
+           st.integers(1, 24), st.sampled_from([2.0, 5.0, 50.0]))
+    def test_step_verdicts_equal_every_entry(self, seed, k, nb, delta, K):
+        # entries a few ulps apart: the falling branch of the fit is not
+        # monotone in rounding there, which reading it at the min alone misses
+        rng = np.random.default_rng(seed)
+        base = 10.0 ** rng.uniform(-6, 1.7, size=nb)
+        logX = base + rng.integers(-50, 51, size=(k, nb)) * np.spacing(base)
+        logX[:, rng.random(nb) < 0.3] *= rng.uniform(0.2, 2.0)
+        good, fit = nonmixing._step_verdicts(logX, delta, K)
+        d = np.where(logX < 30.0,
+                     np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
+                     logX + math.log(2.0))
+        want_good = ((d <= K * delta + K) & (d >= delta / K - K)).all(axis=0)
+        want_fit = np.maximum(d / (delta + 1.0), (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0)
+        assert np.array_equal(good, want_good)
+        assert fit.tobytes() == want_fit.max(axis=0).tobytes()
+
+    def test_result_does_not_depend_on_axis_block(self, monkeypatch):
+        # a short last block must not read what a longer one left behind
+        rng = np.random.default_rng(5)
+        c1, c2 = (Representation([random_element(rng, "complex", 0.8) for _ in range(3)])
+                  for _ in range(2))
+        # K at which some rows pass the axis check and some fail; L<=6 keeps
+        # the one-row blocks to a few seconds
+        probes = [lambda: demo_pipeline(6, 5.0)[0], lambda: ps2_probe(c1, c2, 5, K=2.0)]
+        axis_columns = ("col_axis1", "col_axis2", "col_kfit1", "col_kfit2")
+        for probe in probes:
+            want = probe()
+            assert 0 < want.axis_pass_count_1 < want.total_classes
+            for block in (37, 1):
+                monkeypatch.setattr(nonmixing, "AXIS_BLOCK", block)
+                got = probe()
+                for c in axis_columns:
+                    assert getattr(got, c).tobytes() == getattr(want, c).tobytes(), (block, c)
+            monkeypatch.undo()
 
 
 class TestProbe:
