@@ -349,16 +349,24 @@ class TestAxisChecks:
         assert np.array_equal(ok, want_ok)
         assert np.array_equal(kfit, want_kfit)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6),
-           st.integers(1, 24), st.sampled_from([2.0, 5.0, 50.0]))
-    def test_step_verdicts_equal_every_entry(self, seed, k, nb, delta, K):
+           st.integers(1, 24), st.sampled_from([2.0, 5.0, 50.0]),
+           st.sampled_from(["spread", "switch", "clamp"]))
+    def test_step_verdicts_equal_every_entry(self, seed, k, nb, delta, K, where):
         # entries a few ulps apart: the falling branch of the fit is not
-        # monotone in rounding there, which reading it at the min alone misses
+        # monotone in rounding there, which reading it at the min alone misses.
+        # "switch" puts columns on both sides of log X = 30, where the distance
+        # changes formula; "clamp" puts them around 0, where exp(log X) meets
+        # the max(., 1) clamp.
         rng = np.random.default_rng(seed)
-        base = 10.0 ** rng.uniform(-6, 1.7, size=nb)
-        logX = base + rng.integers(-50, 51, size=(k, nb)) * np.spacing(base)
-        logX[:, rng.random(nb) < 0.3] *= rng.uniform(0.2, 2.0)
+        if where == "spread":
+            base = 10.0 ** rng.uniform(-6, 1.7, size=nb)
+            logX = base + rng.integers(-50, 51, size=(k, nb)) * np.spacing(base)
+            logX[:, rng.random(nb) < 0.3] *= rng.uniform(0.2, 2.0)
+        else:
+            base, ulp = (30.0, np.spacing(30.0)) if where == "switch" else (0.0, 2.0 ** -52)
+            logX = base + rng.integers(-8, 9, size=(k, nb)) * ulp
         good, fit = nonmixing._step_verdicts(logX, delta, K)
         d = np.where(logX < 30.0,
                      np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
