@@ -184,6 +184,22 @@ def _letter_sets(moves, n2: int) -> np.ndarray:
     return Ytab
 
 
+class _PackedRows(dict):
+    """Junction rows as Python ints keyed by letter pair, packed on first use
+    (see MoveTable)."""
+
+    def __init__(self, junction: np.ndarray, n2: int):
+        super().__init__()
+        self._junction, self._n2 = junction, n2
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        c, d = pair
+        row = self._junction[nib_of_letter(c) * self._n2 + nib_of_letter(-d)]
+        # int8 -2..1 wraps to 0..3 in uint32
+        packed = self[pair] = int.from_bytes((row.astype("<u4") + 2).tobytes(), "little")
+        return packed
+
+
 class MoveTable:
     """The second-kind Whitehead moves of rank n, in whitehead_moves_second_kind
     order, with their letter sets as an (M, 2n) nibble table, their multiplier
@@ -194,6 +210,12 @@ class MoveTable:
     (u, v) contributes, [u in Y] xor [v in Y] - [u == a] - [v == a].  A
     cyclically reduced word's length change under a move is the sum of its
     junctions' entries: the crossing edges E(Y, Y^c) less deg(a).
+
+    For the descent of one word at a time the same rows come packed into
+    Python ints: packed_rows[(c, d)] is the junction row of the letter pair
+    (c, d), the edge {c, d^-1}, with the entry for move m plus 2 in the
+    32-bit field m (bits 32m to 32m + 31).  unit has a 1 in every field and
+    top the top bit of every field.  Rows are packed on first use.
     """
 
     def __init__(self, n: int):
@@ -215,6 +237,10 @@ class MoveTable:
         for arr in (self.Ytab, self.a_nib, self.junction):
             arr.setflags(write=False)
         self._auts: dict[int, FreeAutomorphism] = {}
+        self._images: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.packed_rows = _PackedRows(self.junction, n2)
+        self.unit = int.from_bytes(b"\x01\x00\x00\x00" * M, "little")
+        self.top = self.unit << 31
 
     def automorphism(self, m: int) -> FreeAutomorphism:
         aut = self._auts.get(m)
@@ -222,6 +248,27 @@ class MoveTable:
             Y, a = self.moves[m]
             aut = self._auts[m] = whitehead_automorphism(Y, a, self.n)
         return aut
+
+    def letter_images(self, m: int) -> dict[int, tuple[int, ...]]:
+        """Move m's image of every letter, inverses included, as letter tuples."""
+        images = self._images.get(m)
+        if images is None:
+            images = {}
+            for i, w in enumerate(self.automorphism(m).images, 1):
+                images[i] = w.letters
+                images[-i] = tuple(-v for v in reversed(w.letters))
+            self._images[m] = images
+        return images
+
+    def first_shorter(self, total: int, length: int) -> int:
+        """The first move that shortens a cyclically reduced word of cyclic
+        length `length` whose packed junction rows add up to `total`, or -1
+        if none does.  Field m of total is delta_m + 2 * length, so adding
+        2^31 - 2 * length to every field leaves its top bit clear exactly
+        when delta_m < 0.  No field carries into the next while
+        length <= 2^30."""
+        neg = ~(total + ((1 << 31) - 2 * length) * self.unit) & self.top
+        return ((neg & -neg).bit_length() - 1) // 32 if neg else -1
 
     def length_deltas(self, W: np.ndarray) -> np.ndarray:
         """Cyclic-length change of every move on every cyclically reduced
@@ -238,7 +285,10 @@ class MoveTable:
 def move_table(n: int) -> MoveTable:
     """The one MoveTable of rank n, shared by the engine and the descent.
     Kept for the life of the process: 2n(2^(2n-2) - 1) moves, about 285 MiB
-    resident at rank 8, 64 MiB of it the junction table."""
+    resident at rank 8, 64 MiB of it the junction table.  The descent adds
+    the packed rows it meets, 4 bytes per move each and at most 4n^2 of
+    them (about 1 MiB per row at rank 8), and the letter images of the
+    moves it applies."""
     return MoveTable(n)
 
 

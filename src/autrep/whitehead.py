@@ -183,13 +183,16 @@ def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
 
     First-kind automorphisms preserve cyclic length, so only second-kind
     moves are scanned for a strict reduction (in deterministic (a, Y) order).
+    Each step runs on Python ints: the word's packed junction rows add up to
+    every move's length change at once (MoveTable.first_shorter), and the
+    move's letter images are substituted and freely reduced on a stack.
     """
     core, _ = cyclic_reduce(w)
     if core.is_identity():
         raise ValueError("the trivial word is not an input for primitivity")
-    n, n2 = w.rank, 2 * w.rank
+    n = w.rank
     table = _engine.move_table(n)
-    nib = _engine.nib_of_letter
+    rows = table.packed_rows
     letters = core.letters
     chain: list[FreeAutomorphism] = []
     steps = 0
@@ -198,15 +201,21 @@ def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
             raise PrimitivityBudgetError(
                 f"descent budget {budget} exhausted at cyclic length {len(letters)}")
         steps += 1
-        # junction-table row of each cyclic junction: edge {c, d^-1}
-        rows = [nib(c) * n2 + nib(-d) for c, d in zip(letters, letters[1:] + letters[:1])]
-        shorter = table.junction[rows].sum(axis=0) < 0
-        m = int(shorter.argmax())
-        if not shorter[m]:
+        # one packed row per cyclic junction (c, d)
+        total = sum(map(rows.__getitem__, zip(letters, letters[1:] + letters[:1])))
+        m = table.first_shorter(total, len(letters))
+        if m < 0:
             return PrimitivityVerdict(False, chain, Word(letters, n, _checked=True))
-        aut = table.automorphism(m)
-        chain.append(aut)
-        letters = cyclic_core(apply(aut, Word(letters, n, _checked=True)).letters)
+        chain.append(table.automorphism(m))
+        images = table.letter_images(m)
+        out: list[int] = []
+        for v in letters:
+            for u in images[v]:
+                if out and out[-1] == -u:
+                    out.pop()
+                else:
+                    out.append(u)
+        letters = cyclic_core(tuple(out))
     return PrimitivityVerdict(True, chain, Word(letters, n, _checked=True))
 
 
@@ -282,6 +291,8 @@ def basic_lemma_sweep(n: int, length_cap: int) -> SweepReport:
     Basic Lemma: its Whitehead graph must be disconnected or have a cutpoint.
     Returns the violation count (expected 0) over the full enumeration.
     """
+    if n > 4:  # checked before the enumeration, whose cost grows with length_cap
+        raise ValueError("bitmask predicate supports rank <= 4")
     eng = _engine.PackedEngine(n)
     keys = eng.primitive_class_keys(length_cap)
     counts = {l: int(k.size) for l, k in sorted(keys.items())}

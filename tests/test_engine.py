@@ -8,7 +8,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autrep import _engine
@@ -167,6 +167,20 @@ class TestMoveTable:
             assert table.a_nib[m] == _engine.nib_of_letter(a)
             assert table.automorphism(m) == whitehead_automorphism(Y, a, 3)
         assert table.automorphism(7) is table.automorphism(7)
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 4 * n * n - 1), min_size=1, max_size=300))))
+    @example((2, [3, 8, 6, 13]))  # x1 x2 x1^-1 x2^-1: no move shortens it
+    @settings(max_examples=150, deadline=None)
+    def test_packed_sums_match_the_junction_table(self, n_rows):
+        # any junction rows, repeats included; (c, d) is the edge {c, d^-1}
+        n, rows = n_rows
+        table = _engine.move_table(n)
+        n2 = 2 * n
+        pairs = [(_engine.letter_of_nib(r // n2), -_engine.letter_of_nib(r % n2)) for r in rows]
+        m = table.first_shorter(sum(table.packed_rows[p] for p in pairs), len(rows))
+        want = np.flatnonzero(table.junction[rows].sum(0, dtype=np.int64) < 0)[:1]
+        assert want.tolist() == ([m] if m >= 0 else [])
 
 
 def cyclic_words(ranks, max_len):

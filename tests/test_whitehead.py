@@ -208,6 +208,25 @@ class TestDecidePrimitive:
         primitive, chain, terminal = scalar_descent(w)
         assert (v.primitive, v.chain, v.terminal) == (primitive, chain, terminal)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_matches_scalar_descent_on_long_words(self, data):
+        # x1, or a random word, pushed through Nielsen moves while its cyclic
+        # length stays <= 80: a primitive word or one with steps to descend
+        n = data.draw(st.integers(2, 4))
+        primitive = data.draw(st.booleans())
+        w = (Word((1,), n) if primitive else
+             random_cyclic_word(data.draw(st.randoms()), n, data.draw(st.integers(13, 80))))
+        for aut in data.draw(st.lists(st.sampled_from(nielsen_generators(n)),
+                                      min_size=40 if primitive else 0, max_size=40)):
+            image = apply(aut, w)
+            if image.cyclic_length() <= 80:
+                w = image
+        w, _ = cyclic_reduce(w)
+        assume(len(w) >= 13)
+        v = decide_primitive(w)
+        assert (v.primitive, v.chain, v.terminal) == scalar_descent(w)
+
     def test_chain_matches_scalar_descent_on_primitives(self):
         for n, cap in ((3, 5), (4, 4)):
             for c in enumerate_primitive_classes(n, cap):
@@ -305,6 +324,13 @@ class TestEnumeration:
         rep = basic_lemma_sweep(3, 7)
         assert rep.violations == 0
         assert rep.total_classes == sum(rep.counts_by_length.values())
+
+    def test_sweep_rejects_rank_5_before_enumerating(self, monkeypatch):
+        def enumerate_keys(self, length_cap):
+            raise AssertionError("enumerated before the rank check")
+        monkeypatch.setattr(_engine.PackedEngine, "primitive_class_keys", enumerate_keys)
+        with pytest.raises(ValueError, match="rank <= 4"):
+            basic_lemma_sweep(5, 7)
 
     def test_counts_match_enumeration(self):
         cnt = primitive_class_count(2, 6)
