@@ -7,10 +7,13 @@ on the packed uint64 keys.  Nibble encoding of a signed letter v is
 ``2*(|v|-1) + (1 if v < 0 else 0)``, matching the canonical letter order
 x1 < x1^-1 < x2 < x2^-1 < ... used by ConjClass.
 
-The breadth-first search runs on one representative per signed-permutation
-orbit: conjugating a second-kind Whitehead move by a permutation/inversion
-map is again a second-kind move, so move images of a representative cover
-every orbit reachable from the orbit itself.  Discovered orbits are
+The enumeration scans one representative per signed-permutation orbit:
+conjugating a second-kind Whitehead move by a permutation/inversion map is
+again a second-kind move, so move images of a representative cover every
+orbit reachable from the orbit itself.  It applies only moves that strictly
+lengthen, one length at a time in increasing order; Whitehead's theorem,
+on which the primitivity descent also stands, says that this reaches every
+primitive class (see primitive_class_keys).  Discovered orbits are
 expanded eagerly and all member keys recorded, which keeps the scan
 frontier a few hundred times smaller than the class count.  Move images
 run as one apply_move call per chunk of at most BATCH (move, row) pairs,
@@ -384,10 +387,12 @@ class PackedEngine:
         """All conjugacy classes of primitive elements (up to inversion) with
         cyclic length <= length_cap, as sorted canonical key arrays per length.
 
-        Breadth-first closure of the generator classes under second-kind
-        Whitehead moves with the length cap; Whitehead's peak-reduction
-        theorem guarantees every primitive class of length <= cap is reached
-        through intermediates of length <= cap.
+        Closure of the generator classes under strictly lengthening
+        second-kind Whitehead moves, one length at a time in increasing order.
+        By Whitehead's theorem, on which the primitivity descent also stands,
+        a primitive class of length L > 1 is shortened by some second-kind
+        move (Y, a); the inverse move (Y - a + a^-1, a^-1) is again second
+        kind, so every class of length L is a lengthening image of a shorter one.
         """
         if length_cap < 1:
             raise ValueError("length cap must be >= 1")
@@ -395,25 +400,20 @@ class PackedEngine:
             raise ValueError(
                 f"length cap {length_cap} exceeds packed limit "
                 f"{max_pack_length(self.n)} for rank {self.n}")
-        seen: dict[int, np.ndarray] = {l: np.empty(0, dtype=U64)
-                                       for l in range(1, length_cap + 1)}
-        pending: dict[int, list[np.ndarray]] = {l: [] for l in range(1, length_cap + 1)}
+        seen = {l: np.empty(0, dtype=U64) for l in range(1, length_cap + 1)}
+        pending: dict[int, list[np.ndarray]] = {l: [seen[l]] for l in seen}
         gen_keys = np.array([0], dtype=U64)  # the class of x1
-        members, reps = self.orbit_keys(gen_keys, 1)
-        seen[1] = members
-        pending[1].append(sorted_unique(reps))
-        while True:
-            todo = [l for l in pending if pending[l]]
-            if not todo:
-                break
-            l = min(todo)
+        seen[1], reps = self.orbit_keys(gen_keys, 1)
+        pending[1].append(reps)
+        # no move takes a class of length length_cap to one within the cap
+        for l in range(1, length_cap):
             reps = sorted_unique(np.concatenate(pending[l]))
-            pending[l] = []
             for lo in range(0, reps.shape[0], SCAN_BLOCK):
                 W = unpack_keys(reps[lo:lo + SCAN_BLOCK], l, self.b)
-                # (move, row) pairs within the cap, move-major, taken in
+                # (move, row) pairs with 1 <= delta <= cap - l, move-major, in
                 # windows of BATCH so no pair index array outgrows a window
-                ok = (self.length_deltas(W) <= length_cap - l).ravel()
+                d = self.length_deltas(W).ravel()
+                ok = (d >= 1) & (d <= length_cap - l)
                 fresh_by_len: dict[int, list[np.ndarray]] = {}
                 for p in range(0, ok.size, BATCH):
                     ms, rows = np.divmod(np.flatnonzero(ok[p:p + BATCH]) + p, W.shape[0])
@@ -426,7 +426,7 @@ class PackedEngine:
                         continue
                     members, reps2 = self.orbit_keys(cand, lp)
                     seen[lp] = sorted_unique(np.concatenate([seen[lp], members]))
-                    pending[lp].append(sorted_unique(reps2))
+                    pending[lp].append(reps2)
         return {l: keys for l, keys in seen.items() if keys.size}
 
     # -- whole-graph predicates -----------------------------------------

@@ -32,7 +32,7 @@ from .freegroup import (
     cyclic_reduce,
     format_word,
 )
-from .sl2 import TOL_PAR, GroupElement, Representation, generator_table
+from .sl2 import TOL_PAR, GroupElement, Representation, generator_table, integer_entries
 from .whitehead import WhiteheadGraph, build_graph, cutpoints, is_connected, union
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -602,12 +602,11 @@ def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
 
 def _integer_images(rep: Representation) -> list[IntMatrix] | None:
     """The generators as integer matrices, or None unless each entry is a real
-    integer below 2^53 and each determinant exactly 1 (GroupElement's is relative)."""
-    ms = [g.m for g in rep.images]
-    if not all(((m.imag == 0) & (np.abs(m) < 2.0 ** 53) & (m == np.round(m))).all() for m in ms):
+    integer below 2^53 (GroupElement then holds each determinant exactly 1)."""
+    ents = [integer_entries(g.m.ravel().tolist()) for g in rep.images]
+    if any(e is None for e in ents):
         return None
-    mats = [tuple(map(tuple, m.real.astype(np.int64).tolist())) for m in ms]
-    return mats if all(a * d - b * c == 1 for (a, b), (c, d) in mats) else None
+    return [((a, b), (c, d)) for a, b, c, d in ents]
 
 
 def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,

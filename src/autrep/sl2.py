@@ -25,7 +25,8 @@ _FIELDS = ("real", "complex", "su2")
 
 # determinant drift, relative to max(1, |ad|, |bc|): the determinant ad - bc
 # of a float matrix carries rounding of order max(|ad|, |bc|) eps, so an
-# absolute bound is unattainable for large entries
+# absolute bound is unattainable for large entries.  Matrices of integer
+# entries below 2^53 take no tolerance: their determinant is exactly 1.
 TOL_DET = 1e-9
 # half-width of the parabolic (trace +-2) and identity-like bands
 TOL_PAR = 1e-8
@@ -39,6 +40,15 @@ class DetDriftError(ValueError):
 
 def _dtype_for(field: Field):
     return np.float64 if field == "real" else np.complex128
+
+
+def integer_entries(vals: Sequence) -> tuple[int, ...] | None:
+    """The Python scalars vals as ints, or None unless each is a real integer
+    of magnitude below 2^53 (so that the float is that integer exactly)."""
+    for x in vals:
+        if x.imag or not x.real.is_integer() or abs(x.real) >= 2.0 ** 53:
+            return None
+    return tuple(int(x.real) for x in vals)
 
 
 class GroupElement:
@@ -55,12 +65,19 @@ class GroupElement:
         top = float(np.abs(arr).max())  # max propagates NaN
         if not math.isfinite(top):
             raise ValueError("matrix entries must be finite")
-        # entries divided by s and the whole test by s^2: no product can overflow
-        s = max(1.0, top)
-        a, b, c, d = (x / s for x in arr.ravel().tolist())
-        ad, bc = a * d, b * c
-        if abs(ad - bc - 1.0 / s / s) > TOL_DET * max(1.0 / s / s, abs(ad), abs(bc)):
-            raise DetDriftError(f"determinant {(ad - bc) * s * s} drifted beyond tolerance")
+        vals = arr.ravel().tolist()
+        ints = integer_entries(vals)
+        if ints is not None:
+            a, b, c, d = ints
+            if a * d - b * c != 1:
+                raise DetDriftError(f"integer matrix of determinant {a * d - b * c}")
+        else:
+            # entries divided by s and the whole test by s^2: no product can overflow
+            s = max(1.0, top)
+            a, b, c, d = (x / s for x in vals)
+            ad, bc = a * d, b * c
+            if abs(ad - bc - 1.0 / s / s) > TOL_DET * max(1.0 / s / s, abs(ad), abs(bc)):
+                raise DetDriftError(f"determinant {(ad - bc) * s * s} drifted beyond tolerance")
         arr.setflags(write=False)
         self.m = arr
         self.field = field

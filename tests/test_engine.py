@@ -424,6 +424,28 @@ def keys_digest(classes):
     return h.hexdigest()
 
 
+def all_moves_closure(eng, cap):
+    """Breadth-first closure of the generator classes under every second-kind
+    move that stays within the cap, shortening and length-keeping moves
+    included, revisiting a length whenever new classes turn up there."""
+    seen = {l: np.empty(0, dtype=np.uint64) for l in range(1, cap + 1)}
+    pending = {l: [] for l in seen}
+    seen[1], reps = eng.orbit_keys(np.zeros(1, dtype=np.uint64), 1)
+    pending[1].append(reps)
+    while any(pending.values()):
+        l = min(l for l, parts in pending.items() if parts)
+        reps, pending[l] = np.unique(np.concatenate(pending[l])), []
+        W = _engine.unpack_keys(reps, l, eng.b)
+        ms, rows = np.nonzero(eng.length_deltas(W) <= cap - l)
+        for lp, keys in eng.apply_move(W[rows], ms):
+            fresh = np.setdiff1d(keys, seen[lp])
+            if fresh.size:
+                members, new_reps = eng.orbit_keys(fresh, lp)
+                seen[lp] = np.union1d(seen[lp], members)
+                pending[lp].append(new_reps)
+    return {l: keys for l, keys in seen.items() if keys.size}
+
+
 def descent_corpus(name):
     """All 4,686 reduced F3 words of length <= 5, or 1,000 seeded F4 words of
     length <= 12 with nonzero cyclic length."""
@@ -522,3 +544,38 @@ class TestEnumeration:
         eng.apply_move = lambda W, m: (sizes.append(W.shape[0]), real(W, m))[1]
         eng.primitive_class_keys(7)
         assert 0 < max(sizes) <= batch
+
+    @pytest.mark.parametrize("n,cap", [(2, 14), (3, 7), (4, 6), (5, 5)])
+    def test_keys_match_the_all_moves_closure(self, n, cap):
+        eng = _engine.PackedEngine(n)
+        want = all_moves_closure(eng, cap)
+        got = eng.primitive_class_keys(cap)
+        assert sorted(got) == sorted(want)
+        for l in want:
+            assert got[l].dtype == want[l].dtype
+            assert np.array_equal(got[l], want[l])
+
+    @pytest.mark.parametrize("n,cap", [(2, 12), (3, 8), (4, 6)])
+    def test_every_applied_move_lengthens(self, n, cap):
+        eng = _engine.PackedEngine(n)
+        pairs = 0
+        real = eng.apply_move
+
+        def spy(W, m):
+            nonlocal pairs
+            deltas = eng.length_deltas(W)[m, np.arange(W.shape[0])]
+            assert deltas.min() >= 1
+            assert W.shape[1] + deltas.max() <= cap
+            out = real(W, m)
+            # one key per row, at length l + delta
+            want = np.bincount(W.shape[1] + deltas)
+            got = np.zeros_like(want)
+            for lp, keys in out:
+                got[lp] = keys.size
+            assert np.array_equal(got, want)
+            pairs += W.shape[0]
+            return out
+
+        eng.apply_move = spy
+        eng.primitive_class_keys(cap)
+        assert pairs > 0

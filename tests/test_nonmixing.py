@@ -23,6 +23,7 @@ from autrep.nonmixing import (
 )
 from autrep.sl2 import (
     BASEPOINT,
+    DetDriftError,
     GroupElement,
     Representation,
     evaluate,
@@ -30,6 +31,8 @@ from autrep.sl2 import (
     h3_distance,
     mobius_act,
     random_element,
+    rep_from_obj,
+    rep_to_obj,
     translation_length,
 )
 from autrep.whitehead import build_graph
@@ -672,13 +675,25 @@ class TestIntegerImages:
 
     def test_no_images(self):
         hyp = GroupElement([[2, 1], [1, 1]])
-        # determinant exactly 2, inside GroupElement's relative tolerance
-        det2 = GroupElement([[10 ** 8, 2], [4999999999999999, 10 ** 8]])
+        # an integer matrix of determinant 2 is no GroupElement, so every
+        # integer image reaching _integer_images has determinant exactly 1
+        with pytest.raises(DetDriftError):
+            GroupElement([[10 ** 8, 2], [4999999999999999, 10 ** 8]])
+        half = GroupElement([[2, 1.5], [0, 0.5]])
         imag = GroupElement([[1, 1j], [0, 1]], "complex")
-        assert nonmixing._integer_images(Representation([hyp, det2])) is None
+        assert nonmixing._integer_images(Representation([hyp, half])) is None
         assert nonmixing._integer_images(real_pair()[0]) is None
         assert nonmixing._integer_images(
             Representation([GroupElement([[2, 1], [1, 1]], "complex"), imag])) is None
+
+    def test_twisted_pair_json_round_trip(self):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        for rho, ints in ((pair.rho1, pair.int_images_1), (pair.rho2, pair.int_images_2)):
+            back = rep_from_obj(jsonio.loads(jsonio.dumps(rep_to_obj(rho))))
+            assert all(np.array_equal(g.m, h.m) for g, h in zip(back.images, rho.images))
+            assert nonmixing._integer_images(back) == ints
+            for g in back.images:
+                assert np.array_equal((g @ g.inverse()).m, np.eye(2))
 
     def test_probe_rechecks_with_derived_images(self, monkeypatch):
         pair = twisted_pair(build_fuchsian_4punctured(), 2)

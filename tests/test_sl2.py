@@ -78,6 +78,17 @@ class TestGroupElement:
         g = GroupElement([[big, big - 1], [1, 1]], field)  # det 1 up to rounding
         assert g.m[0, 0] == big
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_integer_determinant_is_exact(self, field):
+        # determinant exactly 2, though |ad - bc - 1| is 1e-16 of |ad|
+        with pytest.raises(DetDriftError, match="determinant 2"):
+            GroupElement([[1e8, 2], [4999999999999999, 1e8]], field)
+        # its adjugate, which inverse() would have built
+        with pytest.raises(DetDriftError, match="determinant 2"):
+            GroupElement([[1e8, -2], [-4999999999999999, 1e8]], field)
+        g = GroupElement([[9e7, 1], [8099999999999999, 9e7]], field)
+        assert g.inverse().m[1, 0] == -8099999999999999
+
     def test_field_mismatch(self):
         a = GroupElement([[1, 1], [0, 1]], "real")
         b = GroupElement([[1, 0], [1, 1]], "complex")
