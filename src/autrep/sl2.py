@@ -42,6 +42,9 @@ def _dtype_for(field: Field):
     return np.float64 if field == "real" else np.complex128
 
 
+IntMatrix = tuple[tuple[int, int], tuple[int, int]]
+
+
 def integer_entries(vals: Sequence) -> tuple[int, ...] | None:
     """The Python scalars vals as ints, or None unless each is a real integer
     of magnitude below 2^53 (so that the float is that integer exactly)."""
@@ -49,6 +52,33 @@ def integer_entries(vals: Sequence) -> tuple[int, ...] | None:
         if x.imag or not x.real.is_integer() or abs(x.real) >= 2.0 ** 53:
             return None
     return tuple(int(x.real) for x in vals)
+
+
+def integer_images(elements: Iterable[GroupElement]) -> list[IntMatrix] | None:
+    """The elements as integer matrices, or None unless every entry is a real
+    integer below 2^53 (GroupElement then holds each determinant exactly 1)."""
+    ents = [integer_entries(g.m.ravel().tolist()) for g in elements]
+    if None in ents:
+        return None
+    return [((a, b), (c, d)) for a, b, c, d in ents]
+
+
+def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+
+
+def _int_inv(a: IntMatrix) -> IntMatrix:
+    # adjugate; exact inverse for determinant 1
+    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+
+
+def int_evaluate(mats: list[IntMatrix], letters) -> IntMatrix:
+    out: IntMatrix = ((1, 0), (0, 1))
+    for v in letters:
+        m = mats[abs(v) - 1]
+        out = _int_mul(out, m if v > 0 else _int_inv(m))
+    return out
 
 
 class GroupElement:
@@ -92,9 +122,13 @@ class GroupElement:
         return float(t.real) if self.field == "real" else complex(t)
 
     def __matmul__(self, other: GroupElement) -> GroupElement:
+        """The product; of two integer matrices it is taken in Python ints,
+        so that an integer result below 2^53 is exact."""
         if self.field != other.field:
             raise ValueError("field tag mismatch")
-        return GroupElement(self.m @ other.m, self.field)
+        ints = integer_images((self, other))
+        prod = self.m @ other.m if ints is None else np.array(_int_mul(*ints), dtype=self.m.dtype)
+        return GroupElement(prod, self.field)
 
     __mul__ = __matmul__
 
@@ -279,9 +313,14 @@ def generator_table(elements: Sequence[GroupElement]) -> np.ndarray:
 
 
 def evaluate(rep: Representation, w: Word) -> GroupElement:
-    """Product of generator images along the word."""
+    """Product of generator images along the word, taken in Python ints when
+    every generator is an integer matrix."""
     if w.rank != rep.rank:
         raise ValueError("rank mismatch")
+    ints = integer_images(rep.images)
+    if ints is not None:
+        return GroupElement(np.array(int_evaluate(ints, w.letters), dtype=_dtype_for(rep.field)),
+                            rep.field)
     out = np.eye(2, dtype=_dtype_for(rep.field))
     for v in w.letters:
         g = rep.images[abs(v) - 1]

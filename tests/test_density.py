@@ -23,12 +23,14 @@ from autrep.density import (
     strongly_redundant,
 )
 from autrep.freegroup import Word, parse_word
+from autrep.nonmixing import build_fuchsian_4punctured, twisted_pair
 from autrep.sl2 import (
     GroupElement,
     Representation,
     ad_span_rank,
     evaluate,
     generator_table,
+    int_evaluate,
     random_element,
     random_su2,
 )
@@ -125,6 +127,24 @@ class TestLevelStream:
                 assert mats[i].dtype == ref.dtype
                 assert mats[i].tobytes() == ref.tobytes()
         assert got == want
+
+    def test_integer_generators_multiply_exactly(self):
+        # the twisted pair's entries reach 6.5e6, so float products of three
+        # letters round; the levels hold the exact products, rounded once
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        S, ints = list(pair.rho1.images), pair.int_images_1
+        levels = []
+        for nib, parent, mats in _levels(generator_table(S), SearchBudget(5, 2000), 0):
+            levels.append((nib, parent))
+            for i in range(nib.shape[0]):
+                letters = _engine.backtrack(levels, len(levels) - 1, i)
+                want = np.array(int_evaluate(ints, letters), dtype=float)
+                assert mats[i].tobytes() == want.tobytes()
+                assert evaluate(pair.rho1, Word(letters, 3)).m.tobytes() == want.tobytes()
+        # every word of the stream is examined, none raising DetDriftError
+        budget = SearchBudget(6, 2000)
+        v = certify_dense(S, budget, 0)
+        assert v.report["words_examined"] == len(list(_word_stream(3, budget, 0)))
 
 
 class TestRationalAngleMargin:

@@ -86,8 +86,11 @@ class TestGroupElement:
         # its adjugate, which inverse() would have built
         with pytest.raises(DetDriftError, match="determinant 2"):
             GroupElement([[1e8, -2], [-4999999999999999, 1e8]], field)
+        # accepted, and its products are taken in ints: float arithmetic
+        # gives g @ g^-1 = [[1, 0], [-4371840, 1]]
         g = GroupElement([[9e7, 1], [8099999999999999, 9e7]], field)
-        assert g.inverse().m[1, 0] == -8099999999999999
+        assert np.array_equal((g @ g.inverse()).m, np.eye(2))
+        assert np.array_equal(evaluate(Representation([g]), Word((1, -1, 1), 1)).m, g.m)
 
     def test_field_mismatch(self):
         a = GroupElement([[1, 1], [0, 1]], "real")
