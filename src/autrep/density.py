@@ -51,7 +51,6 @@ from .sl2 import (
     elements_to_obj,
     evaluate,
     generator_table,
-    integer_entries,
     random_element,
     rotation_angle,
     span_rank,
@@ -178,22 +177,13 @@ def _levels(table: np.ndarray, budget: SearchBudget, seed: int):
     per_length = max(budget.max_candidates // budget.max_word_length, 2 * k)
     nib = None
     mats = np.eye(2, dtype=table.dtype)[None]
-    # integer generators multiply in Python ints, as in evaluate: a float
-    # product can round an integer result below 2^53 off determinant 1
-    ints = [integer_entries(m.ravel().tolist()) for m in table]
-    itable = None if None in ints else np.array(ints, dtype=object).reshape(-1, 2, 2)
-    imats = np.eye(2, dtype=object)[None]
     for _ in range(budget.max_word_length):
         nib, parent = _engine.sphere_children(nib, 2 * k)
         if nib.shape[0] > per_length:
             idx = np.sort(rng.choice(nib.shape[0], size=per_length, replace=False))
             nib, parent = nib[idx], parent[idx]
         # batched @ reproduces evaluate's left-to-right products bit for bit
-        if itable is None:
-            mats = mats[parent] @ table[nib]
-        else:
-            imats = imats[parent] @ itable[nib]
-            mats = imats.astype(table.dtype)
+        mats = mats[parent] @ table[nib]
         yield nib, parent, mats
 
 

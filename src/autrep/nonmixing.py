@@ -32,16 +32,10 @@ from .freegroup import (
     cyclic_reduce,
     format_word,
 )
-from .sl2 import (
-    TOL_PAR,
-    GroupElement,
-    IntMatrix,
-    Representation,
-    generator_table,
-    int_evaluate,
-    integer_images,
-)
+from .sl2 import TOL_PAR, GroupElement, Representation, generator_table, integer_entries
 from .whitehead import WhiteheadGraph, build_graph, cutpoints, is_connected, union
+
+IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 # the twisting words [x2, x3] and [x1, x3] of the two variants
 TWISTING_WORDS = (Word((2, 3, -2, -3), 3), Word((1, 3, -1, -3), 3))
@@ -56,8 +50,26 @@ _TOKEN_OF_NIB = np.array([format_word(Word((v,), abs(v), _checked=True))
 AXIS_BLOCK = 10_000
 
 
+def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
+
+
+def _int_inv(a: IntMatrix) -> IntMatrix:
+    # adjugate; exact inverse for determinant 1
+    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+
+
+def int_evaluate(mats: list[IntMatrix], letters) -> IntMatrix:
+    out: IntMatrix = ((1, 0), (0, 1))
+    for v in letters:
+        m = mats[abs(v) - 1]
+        out = _int_mul(out, m if v > 0 else _int_inv(m))
+    return out
+
+
 def _int_rep(mats: list[IntMatrix]) -> Representation:
-    return Representation([GroupElement(np.array(m, dtype=float)) for m in mats])
+    return Representation([GroupElement(m) for m in mats])
 
 
 @dataclass
@@ -588,6 +600,16 @@ def _near_parabolic_recheck(lengths: np.ndarray, tr_mant: np.ndarray,
             lengths[i] = 2.0 * math.log(half + math.sqrt(half * half - 1.0))
 
 
+def _integer_images(rep: Representation) -> list[IntMatrix] | None:
+    """The generators as integer matrices, or None unless each entry is a real
+    integer below 2^53 and each determinant exactly 1 (a generator given as
+    floats passed only GroupElement's relative test)."""
+    ents = [integer_entries(g.m.ravel().tolist()) for g in rep.images]
+    if None in ents or any(a * d - b * c != 1 for a, b, c, d in ents):
+        return None
+    return [((a, b), (c, d)) for a, b, c, d in ents]
+
+
 def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
               K: float = 50.0, window: int = 2, axis_check: bool = True) -> PS2Report:
     """For every primitive conjugacy class c with ||c|| <= length_cap,
@@ -614,8 +636,8 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     col_l1, col_l2 = np.empty(total), np.empty(total)
     col_axis1, col_axis2 = np.zeros(total, dtype=bool), np.zeros(total, dtype=bool)
     col_kfit1, col_kfit2 = np.zeros(total), np.zeros(total)
-    slots = [(generator_table(rho1.images), integer_images(rho1.images), col_l1, col_axis1, col_kfit1),
-             (generator_table(rho2.images), integer_images(rho2.images), col_l2, col_axis2, col_kfit2)]
+    slots = [(generator_table(rho1.images), _integer_images(rho1), col_l1, col_axis1, col_kfit1),
+             (generator_table(rho2.images), _integer_images(rho2), col_l2, col_axis2, col_kfit2)]
     for lo, hi, l, W in _blocks(col_length, col_keys, eng.b):
         for table, int_mats, col_l, col_axis, col_kfit in slots:
             P, E = _scaled_word_products(W, table)

@@ -25,8 +25,9 @@ _FIELDS = ("real", "complex", "su2")
 
 # determinant drift, relative to max(1, |ad|, |bc|): the determinant ad - bc
 # of a float matrix carries rounding of order max(|ad|, |bc|) eps, so an
-# absolute bound is unattainable for large entries.  Matrices of integer
-# entries below 2^53 take no tolerance: their determinant is exactly 1.
+# absolute bound is unattainable for large entries.  A matrix given with
+# integer-typed entries, all integers below 2^53, takes no tolerance: its
+# determinant must be exactly 1.
 TOL_DET = 1e-9
 # half-width of the parabolic (trace +-2) and identity-like bands
 TOL_PAR = 1e-8
@@ -42,9 +43,6 @@ def _dtype_for(field: Field):
     return np.float64 if field == "real" else np.complex128
 
 
-IntMatrix = tuple[tuple[int, int], tuple[int, int]]
-
-
 def integer_entries(vals: Sequence) -> tuple[int, ...] | None:
     """The Python scalars vals as ints, or None unless each is a real integer
     of magnitude below 2^53 (so that the float is that integer exactly)."""
@@ -54,35 +52,22 @@ def integer_entries(vals: Sequence) -> tuple[int, ...] | None:
     return tuple(int(x.real) for x in vals)
 
 
-def integer_images(elements: Iterable[GroupElement]) -> list[IntMatrix] | None:
-    """The elements as integer matrices, or None unless every entry is a real
-    integer below 2^53 (GroupElement then holds each determinant exactly 1)."""
-    ents = [integer_entries(g.m.ravel().tolist()) for g in elements]
-    if None in ents:
-        return None
-    return [((a, b), (c, d)) for a, b, c, d in ents]
-
-
-def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
-def _int_inv(a: IntMatrix) -> IntMatrix:
-    # adjugate; exact inverse for determinant 1
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-
-
-def int_evaluate(mats: list[IntMatrix], letters) -> IntMatrix:
-    out: IntMatrix = ((1, 0), (0, 1))
-    for v in letters:
-        m = mats[abs(v) - 1]
-        out = _int_mul(out, m if v > 0 else _int_inv(m))
-    return out
+def _integer_typed(m) -> bool:
+    """Whether the 2x2 input m is an integer array or a nested sequence
+    holding a Python or NumPy int.  Whole float entries alone do not make a
+    matrix integral: every float of magnitude 2^52 or more is whole, and
+    float products can round to whole entries off determinant 1."""
+    if isinstance(m, np.ndarray):
+        return m.dtype.kind in "iu"
+    return any(isinstance(x, (int, np.integer)) for row in m for x in row)
 
 
 class GroupElement:
-    """A 2x2 matrix of determinant 1 over the tagged scalar field."""
+    """A 2x2 matrix of determinant 1 over the tagged scalar field.
+
+    A matrix given with integer-typed entries (see _integer_typed) that are
+    all integers below 2^53 must have ad - bc == 1 in Python ints; any other
+    matrix, products and inverses included, meets TOL_DET."""
 
     __slots__ = ("m", "field")
 
@@ -96,7 +81,7 @@ class GroupElement:
         if not math.isfinite(top):
             raise ValueError("matrix entries must be finite")
         vals = arr.ravel().tolist()
-        ints = integer_entries(vals)
+        ints = integer_entries(vals) if _integer_typed(m) else None
         if ints is not None:
             a, b, c, d = ints
             if a * d - b * c != 1:
@@ -122,13 +107,9 @@ class GroupElement:
         return float(t.real) if self.field == "real" else complex(t)
 
     def __matmul__(self, other: GroupElement) -> GroupElement:
-        """The product; of two integer matrices it is taken in Python ints,
-        so that an integer result below 2^53 is exact."""
         if self.field != other.field:
             raise ValueError("field tag mismatch")
-        ints = integer_images((self, other))
-        prod = self.m @ other.m if ints is None else np.array(_int_mul(*ints), dtype=self.m.dtype)
-        return GroupElement(prod, self.field)
+        return GroupElement(self.m @ other.m, self.field)
 
     __mul__ = __matmul__
 
@@ -313,14 +294,9 @@ def generator_table(elements: Sequence[GroupElement]) -> np.ndarray:
 
 
 def evaluate(rep: Representation, w: Word) -> GroupElement:
-    """Product of generator images along the word, taken in Python ints when
-    every generator is an integer matrix."""
+    """Product of generator images along the word."""
     if w.rank != rep.rank:
         raise ValueError("rank mismatch")
-    ints = integer_images(rep.images)
-    if ints is not None:
-        return GroupElement(np.array(int_evaluate(ints, w.letters), dtype=_dtype_for(rep.field)),
-                            rep.field)
     out = np.eye(2, dtype=_dtype_for(rep.field))
     for v in w.letters:
         g = rep.images[abs(v) - 1]
@@ -419,7 +395,7 @@ def _entry_to_json(x, field: Field):
 
 def _entry_from_json(e, field: Field):
     if field == "real":
-        return float(e)
+        return e if isinstance(e, int) else float(e)
     return complex(e[0], e[1])
 
 
@@ -441,6 +417,6 @@ def elements_to_obj(elements: Iterable[GroupElement], field: Field) -> list:
 
 
 def elements_from_obj(obj: list, field: Field) -> list[GroupElement]:
-    return [GroupElement(np.array(
+    return [GroupElement(
         [[_entry_from_json(row[0], field), _entry_from_json(row[1], field)]
-         for row in mat]), field) for mat in obj]
+         for row in mat], field) for mat in obj]

@@ -23,14 +23,12 @@ from autrep.density import (
     strongly_redundant,
 )
 from autrep.freegroup import Word, parse_word
-from autrep.nonmixing import build_fuchsian_4punctured, twisted_pair
 from autrep.sl2 import (
     GroupElement,
     Representation,
     ad_span_rank,
     evaluate,
     generator_table,
-    int_evaluate,
     random_element,
     random_su2,
 )
@@ -128,24 +126,6 @@ class TestLevelStream:
                 assert mats[i].tobytes() == ref.tobytes()
         assert got == want
 
-    def test_integer_generators_multiply_exactly(self):
-        # the twisted pair's entries reach 6.5e6, so float products of three
-        # letters round; the levels hold the exact products, rounded once
-        pair = twisted_pair(build_fuchsian_4punctured(), 2)
-        S, ints = list(pair.rho1.images), pair.int_images_1
-        levels = []
-        for nib, parent, mats in _levels(generator_table(S), SearchBudget(5, 2000), 0):
-            levels.append((nib, parent))
-            for i in range(nib.shape[0]):
-                letters = _engine.backtrack(levels, len(levels) - 1, i)
-                want = np.array(int_evaluate(ints, letters), dtype=float)
-                assert mats[i].tobytes() == want.tobytes()
-                assert evaluate(pair.rho1, Word(letters, 3)).m.tobytes() == want.tobytes()
-        # every word of the stream is examined, none raising DetDriftError
-        budget = SearchBudget(6, 2000)
-        v = certify_dense(S, budget, 0)
-        assert v.report["words_examined"] == len(list(_word_stream(3, budget, 0)))
-
 
 class TestRationalAngleMargin:
     def test_rational_angles_have_zero_margin(self):
@@ -219,6 +199,20 @@ class TestCertifyDense:
         obj = v.certificate.to_obj()
         obj["spanning_words"] = obj["spanning_words"][:2]
         assert not replay_certificate(DensityCertificate.from_obj(obj))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("field", ["spanning_words", "witness"])
+    def test_overflowing_word_on_integer_generators_fails(self, field):
+        # x1 repeated 800 times has entries near 10^334: its float product overflows, and
+        # the replay fails instead of raising
+        v = certify_dense(dense_real_pair(), BUDGET, seed=0)
+        obj = v.certificate.to_obj()
+        obj["generators"] = [[[2, 1], [1, 1]], [[1, 2], [0, 1]]]
+        if field == "witness":
+            obj["witness"]["word"] = " ".join(["x1"] * 800)
+        else:
+            obj["spanning_words"][0] = " ".join(["x1"] * 800)
+        assert replay_certificate(DensityCertificate.from_obj(obj)) is False
 
     @pytest.mark.parametrize("pair, key, value", [
         (dense_real_pair, "kind", None),

@@ -29,7 +29,6 @@ from autrep.sl2 import (
     evaluate,
     generator_table,
     h3_distance,
-    integer_images,
     mobius_act,
     random_element,
     rep_from_obj,
@@ -666,32 +665,37 @@ class TestArtifactPins:
 class TestIntegerImages:
     def test_twisted_pair_images(self):
         pair = twisted_pair(build_fuchsian_4punctured(), 2)
-        assert integer_images(pair.rho1.images) == pair.int_images_1
-        assert integer_images(pair.rho2.images) == pair.int_images_2
+        assert nonmixing._integer_images(pair.rho1) == pair.int_images_1
+        assert nonmixing._integer_images(pair.rho2) == pair.int_images_2
 
     def test_complex_tag_with_zero_imaginary_part(self):
         rep = Representation([GroupElement([[2, 1], [1, 1]], "complex"),
                               GroupElement([[1, 0], [-3, 1]], "complex")])
-        assert integer_images(rep.images) == [((2, 1), (1, 1)), ((1, 0), (-3, 1))]
+        assert nonmixing._integer_images(rep) == [((2, 1), (1, 1)), ((1, 0), (-3, 1))]
 
     def test_no_images(self):
         hyp = GroupElement([[2, 1], [1, 1]])
-        # an integer matrix of determinant 2 is no GroupElement, so every
-        # integer image has determinant exactly 1
+        # given with int entries, an integer matrix of determinant 2 is no
+        # GroupElement
         with pytest.raises(DetDriftError):
             GroupElement([[10 ** 8, 2], [4999999999999999, 10 ** 8]])
+        # given as floats, it passes the relative test, and only the exact
+        # determinant keeps it out of the integer images
+        det2 = GroupElement(np.array([[1e8, 2], [4999999999999999, 1e8]]))
         half = GroupElement([[2, 1.5], [0, 0.5]])
         imag = GroupElement([[1, 1j], [0, 1]], "complex")
-        assert integer_images([hyp, half]) is None
-        assert integer_images(real_pair()[0].images) is None
-        assert integer_images([GroupElement([[2, 1], [1, 1]], "complex"), imag]) is None
+        assert nonmixing._integer_images(Representation([hyp, det2])) is None
+        assert nonmixing._integer_images(Representation([hyp, half])) is None
+        assert nonmixing._integer_images(real_pair()[0]) is None
+        assert nonmixing._integer_images(
+            Representation([GroupElement([[2, 1], [1, 1]], "complex"), imag])) is None
 
     def test_twisted_pair_json_round_trip(self):
         pair = twisted_pair(build_fuchsian_4punctured(), 2)
         for rho, ints in ((pair.rho1, pair.int_images_1), (pair.rho2, pair.int_images_2)):
             back = rep_from_obj(jsonio.loads(jsonio.dumps(rep_to_obj(rho))))
             assert all(np.array_equal(g.m, h.m) for g, h in zip(back.images, rho.images))
-            assert integer_images(back.images) == ints
+            assert nonmixing._integer_images(back) == ints
             for g in back.images:
                 assert np.array_equal((g @ g.inverse()).m, np.eye(2))
 

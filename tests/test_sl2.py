@@ -86,11 +86,29 @@ class TestGroupElement:
         # its adjugate, which inverse() would have built
         with pytest.raises(DetDriftError, match="determinant 2"):
             GroupElement([[1e8, -2], [-4999999999999999, 1e8]], field)
-        # accepted, and its products are taken in ints: float arithmetic
-        # gives g @ g^-1 = [[1, 0], [-4371840, 1]]
         g = GroupElement([[9e7, 1], [8099999999999999, 9e7]], field)
-        assert np.array_equal((g @ g.inverse()).m, np.eye(2))
-        assert np.array_equal(evaluate(Representation([g]), Word((1, -1, 1), 1)).m, g.m)
+        assert g.inverse().m[1, 0] == -8099999999999999
+        # an integer array is integer-typed too
+        with pytest.raises(DetDriftError, match="determinant 2"):
+            GroupElement(np.array([[10 ** 8, 2], [4999999999999999, 10 ** 8]]), field)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_whole_floats_keep_the_relative_test(self, field):
+        # cosh 37 and sinh 37 round to one whole float in [2^52, 2^53), so the
+        # entries' exact determinant is 0; given as floats, that is drift
+        c, s = math.cosh(37), math.sinh(37)
+        assert c == s and c.is_integer() and 2.0 ** 52 <= c < 2.0 ** 53
+        GroupElement([[c, s], [s, c]], field)
+        # the same for whole float entries below 2^52 ...
+        GroupElement(np.array([[1e8, 2], [4999999999999999, 1e8]]), field)
+        # ... and for products and words, whose entries round to whole floats
+        h = GroupElement([[math.cosh(18.5), math.sinh(18.5)],
+                          [math.sinh(18.5), math.cosh(18.5)]], field)
+        hh = h @ h
+        assert all(x.real.is_integer() for x in hh.m.ravel())
+        assert np.allclose(hh.m, [[c, s], [s, c]], rtol=1e-15)
+        w = evaluate(Representation([h]), Word((1, 1, 1, -1), 1))
+        assert all(x.real.is_integer() for x in w.m.ravel())
 
     def test_field_mismatch(self):
         a = GroupElement([[1, 1], [0, 1]], "real")
@@ -361,6 +379,16 @@ class TestSerialization:
         back = rep_from_obj(jsonio.loads(text))
         assert np.array_equal(back.images[0].m, rep.images[0].m)
 
+
+    def test_json_integer_literals_are_exact(self):
+        ok = '{"field": "real", "rank": 1, "images": [[[2, 1], [1, 1]]]}'
+        assert rep_from_obj(jsonio.loads(ok)).images[0].m.tolist() == [[2, 1], [1, 1]]
+        det2 = '[[100000000, 2], [4999999999999999, 100000000]]'
+        with pytest.raises(DetDriftError, match="determinant 2"):
+            rep_from_obj(jsonio.loads(f'{{"field": "real", "rank": 1, "images": [{det2}]}}'))
+        # written as floats, the entries carry no integer type
+        floats = '[[1e8, 2.0], [4999999999999999.0, 1e8]]'
+        rep_from_obj(jsonio.loads(f'{{"field": "real", "rank": 1, "images": [{floats}]}}'))
 
     def test_json_nan_rejected(self):
         text = '{"field": "real", "rank": 1, "images": [[[NaN, 0.0], [0.0, 1.0]]]}'
