@@ -18,7 +18,9 @@ expanded eagerly and all member keys recorded, which keeps the scan
 frontier a few hundred times smaller than the class count.  Move images
 run as one apply_move call per chunk of at most BATCH (move, row) pairs,
 and orbit images as one gather over all signed permutations of at most
-BATCH images.
+BATCH images.  Each orbit is expanded about once, not once per candidate
+key: a batch is a strided pick from the candidates still to do, and the
+candidates it covers are dropped before the next.
 
 The cyclic-length change of a second-kind move is a sum over the word's
 cyclic junctions: a junction (c, d) is the Whitehead-graph edge
@@ -142,17 +144,17 @@ def canonical_keys(keys: np.ndarray, l: int, b: int) -> np.ndarray:
 
 
 def signed_perm_tables(n: int) -> np.ndarray:
-    """All 2^n n! signed-permutation nibble maps, shape (K, 2n) uint8."""
-    tabs = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((0, 1), repeat=n):
-            t = np.empty(2 * n, dtype=np.uint8)
-            for i in range(n):
-                img = 2 * perm[i] + signs[i]
-                t[2 * i] = img
-                t[2 * i + 1] = img ^ 1
-            tabs.append(t)
-    return np.array(tabs, dtype=np.uint8)
+    """All 2^n n! signed-permutation nibble maps, shape (K, 2n) uint8: row
+    (p, s) sends letter x_(i+1) to x_(perm_p(i)+1), inverted when bit n-1-i
+    of s is set, permutations in itertools order and sign masks s = 0 .. 2^n - 1
+    within each."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    signs = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    img = 2 * perms[:, None, :] + signs.astype(np.uint8)[None]
+    tabs = np.empty(img.shape[:2] + (2 * n,), dtype=np.uint8)
+    tabs[..., 0::2] = img
+    tabs[..., 1::2] = img ^ 1
+    return tabs.reshape(-1, 2 * n)
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -366,20 +368,25 @@ class PackedEngine:
     def orbit_keys(self, keys: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
         """All signed-permutation orbit members of the given canonical keys.
 
-        Returns (all_member_keys sorted unique, orbit representative per
-        input key) where the representative is the orbit minimum.
+        Returns (all member keys, sorted unique; the orbit minima, sorted
+        unique): one minimum per orbit met, not one per input key.  Keys are
+        expanded in batches of at most BATCH // K, each a strided pick from
+        the keys still to do, since keys of one orbit sit next to each other
+        in sorted order; after each batch the keys among its members are
+        dropped unexpanded, so each orbit is expanded about once.
         """
         K = self.perms.shape[0]
         step = max(1, BATCH // K)
-        members = []
-        reps = np.empty_like(keys)
-        for lo in range(0, keys.shape[0], step):
-            W = unpack_keys(keys[lo:lo + step], l, self.b)
+        members, minima = [], []
+        todo = keys
+        while todo.size:
+            W = unpack_keys(todo[::-(-todo.size // step)], l, self.b)
             images = pack_rows(np.take(self.perms, W, axis=1).reshape(-1, l), self.b)
             A = canonical_keys(images, l, self.b).reshape(K, -1)
-            reps[lo:lo + step] = A.min(axis=0)
+            minima.append(A.min(axis=0))
             members.append(sorted_unique(A.ravel()))
-        return sorted_unique(np.concatenate(members)), reps
+            todo = todo[~_isin_sorted(todo, members[-1])]
+        return sorted_unique(np.concatenate(members)), sorted_unique(np.concatenate(minima))
 
     # -- enumeration ---------------------------------------------------
 

@@ -40,6 +40,7 @@ from .freegroup import (
 )
 from .sl2 import (
     TOL_PAR,
+    DetDriftError,
     GroupElement,
     IsometryType,
     Representation,
@@ -159,7 +160,7 @@ class DensityCertificate:
 class DensityVerdict:
     status: str  # "dense" | "likely_not_dense" | "unknown"
     certificate: DensityCertificate | None = None
-    reason: str | None = None  # discrete-schottky-like | elementary | reducible-span
+    reason: str | None = None  # discrete-schottky-like | elementary | reducible-span | precision
     report: dict = field(default_factory=dict)
 
     @property
@@ -216,7 +217,11 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     nondiscreteness witness (infinite-order witness alone for su2).  Without
     both, structural obstructions are reported as LikelyNotDense and
     anything else as Unknown.  Raises TimeCapError if budget.time_cap_s
-    passes before the word stream is done.
+    passes before the word stream is done.  A word product whose determinant
+    drifts past sl2's tolerance ends the stream there: unless the words
+    before it already certify density, the verdict is Unknown with reason
+    "precision", never LikelyNotDense, and the report gives the drifting
+    word's length.
 
     The stream walks the reduced words over k = len(S) symbols breadth-first,
     deterministically subsampled per length once counts exceed the candidate
@@ -253,6 +258,7 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     words_examined = 0
     saw_elliptic = False
     min_distance = math.inf
+    drift_length = None
 
     levels: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -269,7 +275,11 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
         if time.monotonic() - t0 > budget.time_cap_s:
             raise TimeCapError(budget.time_cap_s, words_examined)
         words_examined += 1
-        g = GroupElement(m, field_tag)
+        try:
+            g = GroupElement(m, field_tag)
+        except DetDriftError:
+            drift_length = len(levels)
+            break
         if len(rows) < target_rank:
             vec = adjoint(g).reshape(9)
             if span_rank(np.array(rows + [vec])) > len(rows):
@@ -317,6 +327,9 @@ def certify_dense(S: Sequence[GroupElement], budget: SearchBudget = SearchBudget
     if rank == target_rank and witness is not None:
         cert = DensityCertificate(field_tag, S, spanning, witness)
         return DensityVerdict("dense", certificate=cert, report=report)
+    if drift_length is not None:
+        report["drift_word_length"] = drift_length
+        return DensityVerdict("unknown", reason="precision", report=report)
 
     if _common_eigenvector([g.m for g in S]):
         return DensityVerdict("likely_not_dense", reason="elementary", report=report)

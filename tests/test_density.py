@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from autrep.density import (
     strongly_redundant,
 )
 from autrep.freegroup import Word, parse_word
+from autrep.nonmixing import build_fuchsian_4punctured, twisted_pair
 from autrep.sl2 import (
+    DetDriftError,
     GroupElement,
     Representation,
     ad_span_rank,
@@ -34,6 +37,14 @@ from autrep.sl2 import (
 )
 
 BUDGET = SearchBudget(max_word_length=5, max_candidates=400, time_cap_s=30.0)
+
+
+def drifts(m, field_tag):
+    try:
+        GroupElement(m, field_tag)
+    except DetDriftError:
+        return True
+    return False
 
 
 def rotation(theta):
@@ -303,6 +314,21 @@ class TestCertifyDense:
         capped = SearchBudget(max_word_length=5, max_candidates=400, time_cap_s=1e-9)
         with pytest.raises(TimeCapError, match=r"time cap of 1e-09 s hit after 0 words"):
             certify_dense(dense_real_pair(), capped, seed=0)
+
+    @pytest.mark.parametrize("max_word_length", [30, 10])
+    def test_determinant_drift_ends_the_search_unknown(self, max_word_length):
+        # float products of the twisted pair's integer generators drift off
+        # determinant 1; the stream stops at the first such word
+        S = list(twisted_pair(build_fuchsian_4punctured(), 2).rho1)
+        budget = SearchBudget(max_word_length, 20000)
+        v = certify_dense(S, budget, seed=0)
+        assert (v.status, v.reason, v.certificate) == ("unknown", "precision", None)
+        stream = ((length, m) for length, (_, _, mats)
+                  in enumerate(_levels(generator_table(S), budget, 0), 1) for m in mats)
+        want = next((i, length) for i, (length, m)
+                    in enumerate(itertools.islice(stream, budget.max_candidates), 1)
+                    if drifts(m, S[0].field))
+        assert (v.report["words_examined"], v.report["drift_word_length"]) == want
 
     @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
     def test_time_cap_must_be_positive(self, cap):

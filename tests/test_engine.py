@@ -18,6 +18,7 @@ from autrep.freegroup import (
     apply,
     cyclic_reduce,
     format_word,
+    parse_word,
     reduce,
     whitehead_automorphism,
     whitehead_moves_second_kind,
@@ -408,6 +409,20 @@ def translate_keys(keys, l, b, table):
     return out
 
 
+def signed_perm_tables_by_loop(n):
+    """signed_perm_tables one map at a time: the reference for its numpy form."""
+    tabs = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((0, 1), repeat=n):
+            t = np.empty(2 * n, dtype=np.uint8)
+            for i in range(n):
+                img = 2 * perm[i] + signs[i]
+                t[2 * i] = img
+                t[2 * i + 1] = img ^ 1
+            tabs.append(t)
+    return np.array(tabs, dtype=np.uint8)
+
+
 def orbit_keys_by_permutation(eng, keys, l):
     """orbit_keys as one translate_keys pass per signed permutation."""
     A = np.empty((eng.perms.shape[0], keys.shape[0]), dtype=np.uint64)
@@ -464,6 +479,12 @@ def descent_corpus(name):
 
 
 class TestOrbits:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_signed_perm_tables_match_the_loop(self, n):
+        got = _engine.signed_perm_tables(n)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, signed_perm_tables_by_loop(n))
+
     def test_orbit_closure_under_translation(self):
         eng = _engine.PackedEngine(3)
         rng = random.Random(5)
@@ -493,7 +514,22 @@ class TestOrbits:
             monkeypatch.setattr(_engine, "BATCH", batch)
             members, reps = eng.orbit_keys(keys, l)
             assert np.array_equal(members, want_members)
-            assert np.array_equal(reps, want_reps)
+            assert np.array_equal(reps, _engine.sorted_unique(want_reps))
+
+    def test_two_shuffled_orbits_give_two_minima(self, monkeypatch):
+        eng = _engine.PackedEngine(4)
+        words = [parse_word(t, 4) for t in ("x1 x2 x3 x4 x1 x3 x2", "x1 x1 x2 x3 x4 x2 x4")]
+        W = np.concatenate([nib_row(w) for w in words])
+        seeds = _engine.canonical_keys(_engine.pack_rows(W, eng.b), 7, eng.b)
+        want_members, want_reps = orbit_keys_by_permutation(eng, seeds, 7)
+        assert want_members.size == 2 * 384
+        keys = want_members.copy()
+        np.random.default_rng(17).shuffle(keys)
+        for batch in (_engine.BATCH, 5 * eng.perms.shape[0] + 3):
+            monkeypatch.setattr(_engine, "BATCH", batch)
+            members, reps = eng.orbit_keys(keys, 7)
+            assert np.array_equal(members, want_members)
+            assert np.array_equal(reps, np.sort(want_reps))
 
     def test_rank_cap_guard(self):
         with pytest.raises(ValueError):
@@ -506,6 +542,9 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,cap,total,digest", [
         (3, 9, 57_341, "e3c1feab63093d303b64f98aec8c6e5e131d5218fb8e36358761b4dbeed33116"),
         (4, 7, 62_752, "e3cc46228ba247bdda451161b1b161472a53f353b2d82a5c66b59b810fd422b1"),
+        (5, 6, 47_809, "66cff0d1d82b1c47edd44891716300ad20c5d0c0a10d5a4905a34a2018cba11c"),
+        (6, 5, 17_860, "7a0c6d0d93fbc81c87e6b44be4bfb21ffdd8eed7a143f0d75c76251fbcddde26"),
+        (7, 4, 3_857, "e64b726a89233f70de5478e38be3e81e637dbc8122c10ae0e283cdbc3c5d3652"),
     ])
     def test_class_keys_are_pinned(self, n, cap, total, digest):
         classes = _engine.PackedEngine(n).primitive_class_keys(cap)
