@@ -525,11 +525,18 @@ class TestOrbits:
         assert want_members.size == 2 * 384
         keys = want_members.copy()
         np.random.default_rng(17).shuffle(keys)
+        expanded = []
+        real = _engine.unpack_keys
+        monkeypatch.setattr(_engine, "unpack_keys",
+                            lambda k, l, b: (expanded.append(k.size), real(k, l, b))[1])
         for batch in (_engine.BATCH, 5 * eng.perms.shape[0] + 3):
             monkeypatch.setattr(_engine, "BATCH", batch)
+            expanded.clear()
             members, reps = eng.orbit_keys(keys, 7)
             assert np.array_equal(members, want_members)
             assert np.array_equal(reps, np.sort(want_reps))
+            # the first strided batch meets both orbits, so no key is left
+            assert len(expanded) == 1 and expanded[0] <= batch // eng.perms.shape[0]
 
     def test_rank_cap_guard(self):
         with pytest.raises(ValueError):
