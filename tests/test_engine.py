@@ -544,8 +544,10 @@ class TestOrbits:
 
 
 class TestEnumeration:
-    # sha256 of the keys, length by length, as the per-move enumeration
-    # (one apply_move call per move and block) produced them
+    # sha256 of the keys, length by length: ranks 3-4 as the per-move
+    # enumeration (one apply_move call per move and block) produced them,
+    # ranks 5-7 as the lengthening-only enumeration with one orbit expansion
+    # per candidate key did
     @pytest.mark.parametrize("n,cap,total,digest", [
         (3, 9, 57_341, "e3c1feab63093d303b64f98aec8c6e5e131d5218fb8e36358761b4dbeed33116"),
         (4, 7, 62_752, "e3cc46228ba247bdda451161b1b161472a53f353b2d82a5c66b59b810fd422b1"),
