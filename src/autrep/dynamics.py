@@ -116,84 +116,101 @@ def _move_programs(rank: int, move_set: str) -> list[list[tuple[int, tuple[int, 
     return programs
 
 
+def _compile_program(prog) -> tuple:
+    """A _move_programs entry as (coordinate, letter index, inverted, rest)
+    tuples: the first letter's 0-based generator index and sign, then the
+    remaining letters as (index, inverted) pairs."""
+    return tuple((i, abs(letters[0]) - 1, letters[0] < 0,
+                  tuple((abs(v) - 1, v < 0) for v in letters[1:]))
+                 for i, letters in prog)
+
+
 # moves drawn per rng.integers call; numpy draws bounded integers one at a
 # time, so chunked draws give the same stream as one call per step
 WALK_DRAW_CHUNK = 4096
 
 
-def _walk_step(mats: list[tuple], prog, is_su2: bool) -> list[tuple]:
-    """One move on 4-tuple matrices (a, b, c, d), in scalar arithmetic with a
-    fixed operation order: products (a e + b g, a f + b h, c e + d g,
-    c f + d h) letter by letter, inverses (d, -b, -c, a), and for su2 the
-    re-projection of the first row (a, b) / sqrt(|a|^2 + |b|^2)."""
-    new = list(mats)
-    for i, letters in prog:
-        v = letters[0]
-        a, b, c, d = mats[abs(v) - 1]
-        if v < 0:
+def _walk_step(mats: list[tuple], prog: tuple, is_su2: bool, guard: float,
+               det_guard: float) -> list[tuple] | None:
+    """One compiled move (_compile_program) on 4-tuple matrices (a, b, c, d),
+    in scalar arithmetic with a fixed operation order: products (a e + b g,
+    a f + b h, c e + d g, c f + d h) letter by letter, inverses (d, -b, -c, a).
+
+    For su2 only the first row (a e + b g, a f + b h) is formed: the
+    re-projection (a, b) / sqrt(|a|^2 + |b|^2) reads only it and sets the
+    second row to (-conj b, conj a).  Each letter's stored (c, d) is read as
+    it is.  In the noncompact fields the step returns None when a matrix it
+    writes has an entry above guard or a determinant drifted beyond
+    det_guard at its entry scale (a NaN determinant counts as drift)."""
+    new = mats.copy()
+    for i, j, inv, rest in prog:
+        a, b, c, d = mats[j]
+        if inv:
             a, b, c, d = d, -b, -c, a
-        for v in letters[1:]:
-            e, f, g, h = mats[abs(v) - 1]
-            if v < 0:
+        for j, inv in rest:
+            e, f, g, h = mats[j]
+            if inv:
                 e, f, g, h = h, -f, -g, e
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            if is_su2:
+                a, b = a * e + b * g, a * f + b * h
+            else:
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         if is_su2:
             s = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
             a, b = a / s, b / s
             c, d = -b.conjugate(), a.conjugate()
+        else:
+            top = max(abs(a), abs(b), abs(c), abs(d))
+            if top > guard or not abs(a * d - b * c - 1.0) <= det_guard * max(1.0, top * top):
+                return None
         new[i] = (a, b, c, d)
     return new
-
-
-def _escaped(mats: list[tuple], guard: float, det_guard: float) -> bool:
-    """Some entry exceeds the overflow guard, or some determinant drifted
-    beyond det_guard at its entry scale (a NaN determinant counts as drift)."""
-    for a, b, c, d in mats:
-        top = max(abs(a), abs(b), abs(c), abs(d))
-        if top > guard or not abs(a * d - b * c - 1.0) <= det_guard * max(1.0, top * top):
-            return True
-    return False
 
 
 def random_walk(rep: Representation, cfg: WalkConfig) -> WalkRun:
     """Deterministic-under-seed product-replacement walk.
 
     Records a sample at step 0 and after every record_stride further steps.
-    When any matrix entry exceeds the overflow guard (noncompact fields),
-    the tuple restarts from the initial representation and the step index
-    is logged.
+    When any matrix entry exceeds the overflow guard or a determinant drifts
+    (noncompact fields), the tuple restarts from the initial representation
+    and the step index is logged.
 
     Matrices are 4-tuples of Python scalars stepped by _walk_step, whose
     correctly rounded operations in a fixed order make a seed give the same
-    walk on every machine.  Moves are drawn WALK_DRAW_CHUNK at a time with
+    walk on every machine.  Each move's program is compiled once per walk.
+    Moves are drawn WALK_DRAW_CHUNK at a time with
     rng.integers(len(programs), size=...), the same stream as one draw per
     step, so memory stays bounded for any number of steps.
     """
     rng = np.random.default_rng(cfg.seed)
-    programs = _move_programs(rep.rank, cfg.move_set)
+    programs = [_compile_program(prog) for prog in _move_programs(rep.rank, cfg.move_set)]
+    guard, det_guard, stride = cfg.overflow_guard, cfg.det_guard, cfg.record_stride
     init = [tuple(g.m.ravel().tolist()) for g in rep.images]
     mats = init
     run = WalkRun(cfg, rep.rank, rep.field, [])
     run.samples.append(_trace_sample(0, mats, rep.field))
     is_su2 = rep.field == "su2"
-    written = [[i for i, _ in prog] for prog in programs]
-    # a coordinate the move did not write passed the guard at an earlier
-    # step, unless it is still that of an initial tuple that fails it
-    init_escaped = not is_su2 and _escaped(init, cfg.overflow_guard, cfg.det_guard)
+    # the identity move rewrites every coordinate as itself, so the step
+    # guards them all; a coordinate a move did not write passed the guard
+    # at an earlier step, unless it is still that of an initial tuple that
+    # fails it
+    every = tuple((i, i, False, ()) for i in range(rep.rank))
+    init_escaped = not is_su2 and _walk_step(init, every, False, guard, det_guard) is None
     check_all = init_escaped
     step = 0
     while step < cfg.steps:
         for p in rng.integers(len(programs), size=min(WALK_DRAW_CHUNK, cfg.steps - step)).tolist():
             step += 1
-            mats = _walk_step(mats, programs[p], is_su2)
-            if not is_su2 and _escaped(mats if check_all else [mats[i] for i in written[p]],
-                                       cfg.overflow_guard, cfg.det_guard):
+            moved = _walk_step(mats, programs[p], is_su2, guard, det_guard)
+            if moved is None or check_all and _walk_step(moved, every, False, guard,
+                                                         det_guard) is None:
                 run.restarts.append(step)
                 mats = init
                 check_all = init_escaped
             else:
+                mats = moved
                 check_all = False
-            if step % cfg.record_stride == 0:
+            if step % stride == 0:
                 run.samples.append(_trace_sample(step, mats, rep.field))
     return run
 
@@ -314,6 +331,19 @@ def _sphere_products(mats: np.ndarray, table: np.ndarray, nib: np.ndarray,
     return out
 
 
+def _quat_keys(batch: np.ndarray, resolution: float) -> np.ndarray:
+    """Mixed 64-bit hash of each SU(2) matrix's quaternion discretized at
+    resolution; a collision drops a point from a cover.  Collisions are not
+    rare: negating both q0 and q1 keeps the key whenever q0 and q1 have the
+    same number of trailing zero bits."""
+    q = np.round(_su2_quat(batch) / resolution).astype(np.int64).view(np.uint64)
+    h = q[:, 0] * np.uint64(0x9E3779B97F4A7C15)
+    h ^= q[:, 1] * np.uint64(0xBF58476D1CE4E5B9)
+    h ^= (q[:, 2] << np.uint64(1)) * np.uint64(0x94D049BB133111EB)
+    h ^= (q[:, 3] << np.uint64(2)) * np.uint64(0xD6E8FEB86659FD93)
+    return h
+
+
 def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: float):
     """Breadth-first word spheres with global dedup of discretized group
     elements, up to max_level letters or cap distinct points.
@@ -322,30 +352,29 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
     generic generator pairs levels grow geometrically and the cap binds at
     modest depth; for pairs near a finite or thin subgroup the frontier
     collapses and the search automatically runs much deeper, which is where
-    naive sphere coverage fails."""
-    def quat_keys(batch: np.ndarray) -> np.ndarray:
-        # mixed 64-bit hash of the discretized quaternion; a rare collision
-        # only drops one redundant point from the cover
-        q = np.round(_su2_quat(batch) / resolution).astype(np.int64).view(np.uint64)
-        h = q[:, 0] * np.uint64(0x9E3779B97F4A7C15)
-        h ^= q[:, 1] * np.uint64(0xBF58476D1CE4E5B9)
-        h ^= (q[:, 2] << np.uint64(1)) * np.uint64(0x94D049BB133111EB)
-        h ^= (q[:, 3] << np.uint64(2)) * np.uint64(0xD6E8FEB86659FD93)
-        return h
+    naive sphere coverage fails.
 
+    Within a level the first word per key is its lowest child index: the
+    keys are sorted by numpy's default (unstable) argsort and each run of
+    equal keys reduced with np.minimum.reduceat, so the pick does not depend
+    on how the sort orders ties.  It equals np.unique(keys,
+    return_index=True), whose stable sort is about 5x slower on uint64."""
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     mats_levels: list[np.ndarray] = []
     mats = np.eye(2, dtype=table.dtype)[None]
-    seen = np.sort(quat_keys(mats))
+    seen = np.sort(_quat_keys(mats, resolution))
     total = 1
     for _ in range(max_level):
         child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
                                                     table.shape[0])
         child = _sphere_products(mats, table, child_nib, parent)
-        keys = quat_keys(child)
-        _, first = np.unique(keys, return_index=True)
-        pos = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
-        fresh = np.sort(first[seen[pos] != keys[first]])
+        keys = _quat_keys(child, resolution)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        first, distinct = np.minimum.reduceat(order, starts), sorted_keys[starts]
+        pos = np.minimum(np.searchsorted(seen, distinct), seen.size - 1)
+        fresh = np.sort(first[seen[pos] != distinct])
         if fresh.size == 0:
             break
         child, child_nib, parent = child[fresh], child_nib[fresh], parent[fresh]
@@ -383,7 +412,9 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     """Meet-in-the-middle basic approximation for the compact field: any
     product u*v with u, v in a word sphere is scored as the quaternion
     distance from v to u^-1 target, found by one nearest-neighbor query per
-    u.  Covers |sphere|^2 candidate words at KD-tree cost.
+    u.  Covers |sphere|^2 candidate words at KD-tree cost.  Left factors
+    have at most max_word_length // 2 letters and right factors at most
+    max(max_word_length // 2, 1), so no word exceeds the cap.
 
     Only the best (u, v) pair is used, so the query runs in two passes: the
     strided sample of left factors gives a distance the true minimum cannot
@@ -407,6 +438,9 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     all_mats = np.concatenate([np.eye(2, dtype=np.complex128)[None]] + mats_levels)
     # level j occupies all_mats[starts[j]:starts[j + 1]]; index 0 is the empty word
     starts = np.cumsum([1] + [m.shape[0] for m in mats_levels])
+    # the left factors u, words of up to max_word_length // 2 letters: all
+    # points, except at max_word_length 1, where it is the empty word alone
+    nu = int(starts[min(budget.max_word_length // 2, len(levels))])
 
     def word_at(i: int) -> tuple[int, ...]:
         lev = int(np.searchsorted(starts, i, side="right")) - 1
@@ -416,22 +450,22 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     # queries are exact on any tree shape; this build is the cheapest
     tree = cKDTree(quats, balanced_tree=False, compact_nodes=False)
     tm = target.m.astype(np.complex128)
-    uq = _uh_t_quats(all_mats, tm)
+    uq = _uh_t_quats(all_mats[:nu], tm)
     sample_min = float(tree.query(uq[::MEET_SAMPLE_STRIDE], k=1)[0].min())
     # the bound is strict; an exact match (distance 0) queries unbounded
     bound = sample_min * (1.0 + 1e-9) or np.inf
     # u -> u^-1 target is an isometry: in the tree's point order,
     # consecutive queries visit nearby cells
-    order = tree.indices
+    order = tree.indices[tree.indices < nu]
     dists, idxs = np.empty(uq.shape[0]), np.empty(uq.shape[0], dtype=np.intp)
     dists[order], idxs[order] = tree.query(uq[order], k=1, distance_upper_bound=bound)
     if time.monotonic() - t0 > budget.time_cap_s:
-        raise TimeCapError(budget.time_cap_s, quats.shape[0] ** 2)
+        raise TimeCapError(budget.time_cap_s, nu * quats.shape[0])
     best_u = int(np.argmin(dists))
     best_v = int(idxs[best_u])
     word = Word(word_at(best_u) + word_at(best_v), k)
     claimed = opnorm(all_mats[best_u] @ all_mats[best_v] - tm)
-    return ApproxResult(word, claimed, claimed < epsilon, quats.shape[0] ** 2)
+    return ApproxResult(word, claimed, claimed < epsilon, nu * quats.shape[0])
 
 
 def _opnorms(batch: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from autrep.dynamics import (
     SteerStageError,
     WalkConfig,
     _approximate_su2_meet,
+    _compile_program,
     _move_programs,
     _walk_step,
     approximate_element,
@@ -126,18 +127,51 @@ def _oracle_step(mats, prog, is_su2):
     return new
 
 
+def _escaped(mats, guard, det_guard):
+    """The walk guard on every given matrix: an entry above guard, or a
+    determinant beyond det_guard at its entry scale (NaN counts)."""
+    for a, b, c, d in mats:
+        top = max(abs(a), abs(b), abs(c), abs(d))
+        if top > guard or not abs(a * d - b * c - 1.0) <= det_guard * max(1.0, top * top):
+            return True
+    return False
+
+
+def _full_check_walk(rep, cfg):
+    """random_walk with one draw per step and the guard run on every
+    coordinate after every step: (restarts, samples)."""
+    programs = [_compile_program(prog) for prog in _move_programs(rep.rank, cfg.move_set)]
+    draws = np.random.default_rng(cfg.seed)
+    init = [tuple(g.m.ravel().tolist()) for g in rep.images]
+    mats, restarts = init, []
+    samples = [dynamics._trace_sample(0, mats, rep.field)]
+    for step in range(1, cfg.steps + 1):
+        prog = programs[draws.integers(len(programs))]
+        mats = _walk_step(mats, prog, False, math.inf, math.inf)
+        if mats is None or _escaped(mats, cfg.overflow_guard, cfg.det_guard):
+            restarts.append(step)
+            mats = init
+        if step % cfg.record_stride == 0:
+            samples.append(dynamics._trace_sample(step, mats, rep.field))
+    return restarts, samples
+
+
 class TestScalarWalkKernel:
     @settings(max_examples=150, deadline=None)
     @given(field=st.sampled_from(["real", "complex", "su2"]), rank=st.integers(2, 3),
            move_set=st.sampled_from(["nielsen", "whitehead"]),
-           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 3.0), data=st.data())
-    def test_step_matches_numpy_oracle(self, field, rank, move_set, seed, scale, data):
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 3.0),
+           guard=st.sampled_from([math.inf, 2.0, 8.0]),
+           det_guard=st.sampled_from([math.inf, 1e-12, 1e-15]), data=st.data())
+    def test_step_matches_numpy_oracle(self, field, rank, move_set, seed, scale, guard,
+                                       det_guard, data):
         rng = np.random.default_rng(seed)
         reps = [random_su2(rng) if field == "su2" else random_element(rng, field, scale)
                 for _ in range(rank)]
         programs = _move_programs(rank, move_set)
         prog = programs[data.draw(st.integers(0, len(programs) - 1))]
-        got = _walk_step([tuple(g.m.ravel().tolist()) for g in reps], prog, field == "su2")
+        mats = [tuple(g.m.ravel().tolist()) for g in reps]
+        got = _walk_step(mats, _compile_program(prog), field == "su2", math.inf, math.inf)
         want = _oracle_step([g.m for g in reps], prog, field == "su2")
         for (i, letters) in prog:
             # rounding of a product is relative to its entrywise |A1|...|Ak|
@@ -149,6 +183,10 @@ class TestScalarWalkKernel:
                                atol=1e-12 * scale_i.max())
         assert all(got[j] == tuple(g.m.ravel().tolist()) for j, g in enumerate(reps)
                    if j not in {i for i, _ in prog})
+        # the guard is the full check on the written coordinates; su2 has none
+        guarded = _walk_step(mats, _compile_program(prog), field == "su2", guard, det_guard)
+        escaped = field != "su2" and _escaped([got[i] for i, _ in prog], guard, det_guard)
+        assert guarded == (None if escaped else got)
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     @pytest.mark.parametrize("move_set", ["nielsen", "whitehead"])
@@ -170,24 +208,14 @@ class TestScalarWalkKernel:
         steps = dynamics.WALK_DRAW_CHUNK + 50
         cfg = WalkConfig(steps=steps, seed=20, record_stride=7, overflow_guard=64.0)
         run = random_walk(rep, cfg)
-        programs = _move_programs(2, "nielsen")
-        draws = np.random.default_rng(20)
-        init = [tuple(g.m.ravel().tolist()) for g in rep.images]
-        mats, restarts, finals = init, [], []
-        for step in range(1, steps + 1):
-            mats = _walk_step(mats, programs[draws.integers(len(programs))], False)
-            if dynamics._escaped(mats, cfg.overflow_guard, cfg.det_guard):
-                restarts.append(step)
-                mats = init
-            if step % 7 == 0:
-                finals.append(mats[0][0] + mats[0][3])
+        restarts, samples = _full_check_walk(rep, cfg)
         assert run.restarts == restarts and len(restarts) > 0
-        assert [s.gen_traces[0] for s in run.samples[1:]] == finals
+        assert run.samples == samples
 
     @pytest.mark.parametrize("move_set", ["nielsen", "whitehead"])
     @pytest.mark.parametrize("bad", ["overflow", "det", None])
     def test_guard_on_written_coordinates_matches_full_check(self, move_set, bad):
-        """random_walk checks only the coordinates a move wrote; the walk
+        """random_walk guards only the coordinates a move wrote; the walk
         that checks every coordinate after every step must agree, also when
         the initial tuple itself fails the guard."""
         rng = np.random.default_rng(21)
@@ -201,21 +229,68 @@ class TestScalarWalkKernel:
         cfg = WalkConfig(steps=3000, seed=21, move_set=move_set, record_stride=3,
                          overflow_guard=64.0)
         run = random_walk(rep, cfg)
-        programs = _move_programs(3, move_set)
-        draws = np.random.default_rng(21).integers(len(programs), size=cfg.steps).tolist()
-        init = [tuple(g.m.ravel().tolist()) for g in rep.images]
-        mats, restarts = init, []
-        samples = [dynamics._trace_sample(0, mats, "real")]
-        for step, p in enumerate(draws, 1):
-            mats = _walk_step(mats, programs[p], False)
-            if dynamics._escaped(mats, cfg.overflow_guard, cfg.det_guard):
-                restarts.append(step)
-                mats = init
-            if step % 3 == 0:
-                samples.append(dynamics._trace_sample(step, mats, "real"))
+        restarts, samples = _full_check_walk(rep, cfg)
         assert run.restarts == restarts
         assert run.samples == samples
         assert 0 < len(restarts) < cfg.steps
+
+
+def _su2_first_row(t, p, q):
+    """(a, b) = (cos t e^{ip}, sin t e^{iq}), from Python math alone."""
+    return (complex(math.cos(t) * math.cos(p), math.cos(t) * math.sin(p)),
+            complex(math.sin(t) * math.cos(q), math.sin(t) * math.sin(q)))
+
+
+def _pin_walk_inputs(field):
+    """Walk inputs built from literals and Python math, so that the digests
+    do not depend on the SIMD level numpy's linear algebra dispatches to."""
+    if field == "su2":
+        mats = []
+        for t, p, q in ((0.4, 1.1, -0.3), (1.2, -0.7, 2.5)):
+            a, b = _su2_first_row(t, p, q)
+            mats.append([[a, b], [-b.conjugate(), a.conjugate()]])
+        # a second row off (-conj(b), conj(a)) by a relative 2^-40: the step
+        # reads the stored d of an inverted first letter and the stored
+        # (c, d) of every later letter
+        a, b = _su2_first_row(0.7, 0.5, -1.3)
+        mats.append([[a, b], [-b.conjugate() * (1 + 2.0 ** -40),
+                              a.conjugate() * (1 - 2.0 ** -40)]])
+        return Representation([GroupElement(m, "su2") for m in mats]), {
+            "steps": 3000, "record_stride": 7}
+    c, s = math.cos(0.5), math.sin(0.5)
+    if field == "real":
+        mats = ([[c, -s], [s, c]], [[2.0, 1.0], [1.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]])
+        stride = 3
+    else:
+        mats = ([[1.0, 0.5 + 0.25j], [0.0, 1.0]],
+                [[complex(c, s), 0.0], [0.0, complex(c, -s)]], [[1.0, 0.0], [-0.75j, 1.0]])
+        stride = 5
+    return Representation([GroupElement(m, field) for m in mats]), {
+        "steps": 3000, "record_stride": stride, "overflow_guard": 64.0}
+
+
+# sha256 of trace_matrix() bytes and restarts, recorded before the compiled
+# move programs and the first-row SU(2) step replaced the letter-by-letter
+# kernel; the real and complex walks restart 150, 151, 101 and 97 times
+WALK_PINS = {
+    ("su2", "nielsen"): "027625711273441addd24e37a17923d62fc4c1ed8eaf6e780b00b42819ddffb4",
+    ("su2", "whitehead"): "3e99d3813baee79b4c27c4208312672dcec1d3cc943f442fba02b6709b526286",
+    ("real", "nielsen"): "bd4ed0b8a52c40466894aa13830647037b52e44dbe9ed8a3c59c599441d81955",
+    ("real", "whitehead"): "3afc2b6229d8b302e37e5b20d9667b201820638b2c34f5231b801635cf44d5f2",
+    ("complex", "nielsen"): "44960fe88989f9661d9fb82e0c3bc02e4f101a82894f8511c8d3eb7c21ecc43a",
+    ("complex", "whitehead"): "5d23007bded5c410f38c650dd29d369b142472d74db1b456001e7b929a54bf7e",
+}
+
+
+class TestWalkPins:
+    @pytest.mark.parametrize("field,move_set", list(WALK_PINS))
+    def test_walk_is_pinned(self, field, move_set):
+        rep, kw = _pin_walk_inputs(field)
+        run = random_walk(rep, WalkConfig(seed=61, move_set=move_set, **kw))
+        assert (len(run.restarts) > 0) == (field != "su2")
+        h = hashlib.sha256(run.trace_matrix().tobytes())
+        h.update(repr(run.restarts).encode())
+        assert h.hexdigest() == WALK_PINS[field, move_set]
 
 
 class TestCommutatorTrace:
@@ -444,6 +519,80 @@ class TestSphereProductKernel:
                               _bits(want.view(np.float64)))
 
 
+def _quat_su2(w, x, y, z):
+    """The SU(2) matrix of the unit quaternion w + xi + yj + zk: first row
+    (w + xi, y + zi)."""
+    a, b = complex(w, x), complex(y, z)
+    return GroupElement([[a, b], [-b.conjugate(), a.conjugate()]], "su2")
+
+
+_R = math.sqrt(0.5)
+_PHI = (1 + math.sqrt(5)) / 2
+# generators of the binary tetrahedral, octahedral and icosahedral groups
+_POLYHEDRAL = [(0.0, 1.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5), (_R, _R, 0.0, 0.0),
+               (_PHI / 2, 1 / (2 * _PHI), 0.5, 0.0)]
+
+
+@st.composite
+def _finite_order_su2(draw):
+    """A rotation by 2 pi p / m about a drawn axis, an element of order
+    dividing 2m, or a generator of a binary polyhedral group."""
+    if draw(st.booleans()):
+        return _quat_su2(*draw(st.sampled_from(_POLYHEDRAL)))
+    m = draw(st.integers(2, 12))
+    theta = math.pi * draw(st.integers(1, m - 1)) / m
+    axis = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    norm = math.sqrt(sum(v * v for v in axis))
+    if norm < 1e-3:
+        axis, norm = [0.0, 0.0, 1.0], 1.0
+    x, y, z = (math.sin(theta) * v / norm for v in axis)
+    return _quat_su2(math.cos(theta), x, y, z)
+
+
+def _levels_with_np_unique(table, max_level, cap, resolution):
+    """_sphere_levels with the first word per key picked by
+    np.unique(keys, return_index=True), as it was before the unstable sort."""
+    levels, mats_levels = [], []
+    mats = np.eye(2, dtype=table.dtype)[None]
+    seen = np.sort(dynamics._quat_keys(mats, resolution))
+    total = 1
+    for _ in range(max_level):
+        child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
+                                                    table.shape[0])
+        child = dynamics._sphere_products(mats, table, child_nib, parent)
+        keys = dynamics._quat_keys(child, resolution)
+        _, first = np.unique(keys, return_index=True)
+        pos = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
+        fresh = np.sort(first[seen[pos] != keys[first]])
+        if fresh.size == 0:
+            break
+        child, child_nib, parent = child[fresh], child_nib[fresh], parent[fresh]
+        levels.append((child_nib, parent))
+        mats_levels.append(child)
+        seen = _engine.sorted_unique(np.concatenate([seen, keys[fresh]]))
+        mats = child
+        total += child.shape[0]
+        if total >= cap:
+            break
+    return levels, mats_levels
+
+
+class TestSphereDedup:
+    @given(gens=st.lists(_finite_order_su2(), min_size=1, max_size=3),
+           resolution=st.sampled_from([1e-5, 1e-3, 0.05, 0.3, 1.0]),
+           max_level=st.integers(1, 12), cap=st.integers(3, 3000))
+    @settings(max_examples=80, deadline=None)
+    def test_same_levels_as_np_unique(self, gens, resolution, max_level, cap):
+        table = generator_table(gens)
+        levels, mats_levels = dynamics._sphere_levels(table, max_level, cap, resolution)
+        want_levels, want_mats = _levels_with_np_unique(table, max_level, cap, resolution)
+        assert len(levels) == len(want_levels) == len(mats_levels) == len(want_mats)
+        for (nib, parent), (want_nib, want_parent) in zip(levels, want_levels):
+            assert np.array_equal(nib, want_nib) and np.array_equal(parent, want_parent)
+        for got, want in zip(mats_levels, want_mats):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
 # sha256 of steer and approximate_element outputs, recorded before the
 # split-real kernels, the first-row meet and the unbalanced tree replaced
 # the einsum products and the balanced tree: any change to the arithmetic
@@ -491,6 +640,25 @@ class TestOutputPins:
             r = approximate_element(S, target, epsilon, SearchBudget(10, 2000, 60.0))
             h.update(repr((r.word.letters, r.distance, r.success, r.examined)).encode())
         assert h.hexdigest() == APPROX_PINS[field]
+
+
+class TestWordLengthCap:
+    def test_one_letter_su2_meet(self):
+        u = _quat_su2(math.cos(0.3), math.sin(0.3), 0.0, 0.0)
+        res = approximate_element([u], u @ u, 0.1, SearchBudget(1, 100, 10.0))
+        assert res.word.letters == (1,) and not res.success
+
+    @pytest.mark.parametrize("field", ["su2", "real", "complex"])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_word_within_max_word_length(self, field, cap):
+        rng = np.random.default_rng(50 + cap)
+        S = [random_su2(rng) if field == "su2" else random_element(rng, field, 0.7)
+             for _ in range(2)]
+        targets = [S[0] @ S[0], S[0] @ S[1].inverse() @ S[0], S[1] @ S[1] @ S[1] @ S[0],
+                   random_su2(rng) if field == "su2" else random_element(rng, field, 0.7)]
+        for target in targets:
+            res = approximate_element(S, target, 1e-9, SearchBudget(cap, 1000, 60.0))
+            assert len(res.word) <= cap
 
 
 class _UnboundedTree(scipy.spatial.cKDTree):
