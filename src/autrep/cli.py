@@ -250,7 +250,9 @@ def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
     """Steer one representation tuple toward another by an automorphism.
 
     Exit code 0: success at epsilon; 1: budget failure (partial result);
-    2: a stage's density prerequisite failed or --budget-time was hit.
+    2: a stage's density prerequisite failed ('stage k: ...', k the
+    coordinate being steered), --budget-time was hit, or the input was
+    rejected (rank < 3 among them).
     """
     manifest = RunManifest("steer", {"phi": phi_path, "psi": psi_path,
                                      "epsilon": epsilon,

@@ -30,21 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _engine, jsonio
-from .freegroup import (
-    FreeAutomorphism,
-    Word,
-    compose,
-    format_word,
-    nielsen_generators,
-    parse_word,
-)
+from .freegroup import Word, format_word, parse_word
 from .sl2 import (
     TOL_PAR,
     DetDriftError,
     GroupElement,
     IsometryType,
     Representation,
-    act,
     ad_span_rank,
     adjoint,
     classify,
@@ -52,7 +44,6 @@ from .sl2 import (
     elements_to_obj,
     evaluate,
     generator_table,
-    random_element,
     rotation_angle,
     span_rank,
 )
@@ -369,66 +360,6 @@ def replay_certificate(cert: DensityCertificate) -> bool:
     return False
 
 
-def omega_member(S: Sequence[GroupElement], g: GroupElement,
-                 budget: SearchBudget = SearchBudget(), seed: int = 0) -> DensityVerdict:
-    """Is g in Omega(S): does S together with g generate a dense subgroup?"""
-    return certify_dense(list(S) + [g], budget, seed)
-
-
-@dataclass
-class OmegaTildeResult:
-    witness: GroupElement | None
-    verdicts: list[DensityVerdict]  # per dropped index, for the successful candidate
-    attempts: int
-    report: dict
-
-
-# radius of the random perturbations in omega_tilde_search
-PERTURBATION = 0.05
-
-
-def omega_tilde_search(S: Representation | Sequence[GroupElement],
-                       budget: SearchBudget = SearchBudget(), seed: int = 0,
-                       max_attempts: int = 40) -> OmegaTildeResult:
-    """Search for g in the intersection of Omega(S minus one coordinate) over
-    all coordinates: g must complete every drop-one subtuple to a dense set.
-
-    Candidates are products of the coordinates perturbed by small random
-    elements near the identity.  The perturbation radius is a heuristic with
-    no effective bound; it is echoed in the report.
-    """
-    elems = list(S.images) if isinstance(S, Representation) else list(S)
-    n = len(elems)
-    if n < 3:
-        raise ValueError("need an n-tuple with n >= 3")
-    field_tag = elems[0].field
-    rng = np.random.default_rng(seed)
-    attempts = 0
-    blocked: dict[int, int] = {}
-    report = {"perturbation": PERTURBATION,
-              "note": "perturbation radius is an untuned heuristic"}
-    products = [elems[i].m @ elems[(i + 1) % n].m for i in range(n)] + \
-               [g.m for g in elems]
-    while attempts < max_attempts:
-        base = products[attempts % len(products)]
-        pert = random_element(rng, field_tag, scale=PERTURBATION)
-        cand = GroupElement(base, field_tag) @ pert
-        attempts += 1
-        verdicts = []
-        ok = True
-        for i in range(n):
-            sub = [elems[j] for j in range(n) if j != i] + [cand]
-            v = certify_dense(sub, budget, seed)
-            verdicts.append(v)
-            if not v.dense:
-                blocked[i] = blocked.get(i, 0) + 1
-                ok = False
-                break
-        if ok:
-            return OmegaTildeResult(cand, verdicts, attempts, report)
-    return OmegaTildeResult(None, [], attempts, {**report, "blocking_counts": blocked})
-
-
 @dataclass
 class StrongRedundancyReport:
     strongly_redundant: bool
@@ -449,79 +380,3 @@ def strongly_redundant(rep: Representation, budget: SearchBudget = SearchBudget(
     ok = all(v.dense for v in verdicts)
     unknown = any(v.status == "unknown" for v in verdicts)
     return StrongRedundancyReport(ok, unknown and not ok, verdicts)
-
-
-@dataclass
-class RedundancyResult:
-    status: str  # "redundant" | "not_found"
-    automorphism: FreeAutomorphism | None = None
-    dropped_index: int | None = None
-    certificate: DensityCertificate | None = None
-    chains_tried: int = 0
-
-
-def redundant_heuristic(rep: Representation, budget: SearchBudget = SearchBudget(),
-                        seed: int = 0, max_chain_length: int = 2) -> RedundancyResult:
-    """Look for a free-factor witness of redundancy: an automorphism sigma and
-    an index i such that dropping coordinate i of sigma . rep leaves a dense
-    subtuple.  Direct subtuple checks first, then bounded Nielsen chains.
-    Redundancy is existentially quantified over all bases, so failure is
-    reported as NotFound (inconclusive), never as a refutation.
-    """
-    if rep.rank < 2:
-        raise ValueError("redundancy needs rank >= 2")
-
-    def direct(r: Representation, aut: FreeAutomorphism, tried: int) -> RedundancyResult | None:
-        for i in range(r.rank):
-            sub = [r.images[j] for j in range(r.rank) if j != i]
-            v = certify_dense(sub, budget, seed)
-            if v.dense:
-                return RedundancyResult("redundant", aut, i, v.certificate, tried)
-        return None
-
-    ident = FreeAutomorphism.identity(rep.rank)
-    hit = direct(rep, ident, 0)
-    if hit is not None:
-        return hit
-    moves = nielsen_generators(rep.rank)
-    frontier = [(ident, rep)]
-    tried = 0
-    for _ in range(max_chain_length):
-        new = []
-        for (aut, r) in frontier:
-            for mv in moves:
-                tried += 1
-                if tried > budget.max_candidates:
-                    return RedundancyResult("not_found", chains_tried=tried)
-                aut2 = compose(mv, aut)
-                r2 = act(mv, r)
-                hit = direct(r2, aut2, tried)
-                if hit is not None:
-                    return hit
-                new.append((aut2, r2))
-        frontier = new
-    return RedundancyResult("not_found", chains_tried=tried)
-
-
-@dataclass
-class LinksResult:
-    links: bool
-    per_k: list[DensityVerdict]
-
-
-def links(phi: Representation, psi: Representation,
-          budget: SearchBudget = SearchBudget(), seed: int = 0) -> LinksResult:
-    """psi links phi when for every k < n the mixed tuple
-    (phi(x_1)..phi(x_{k-1}), psi(x_{k+1})..psi(x_n)) generates a dense
-    subgroup."""
-    if phi.rank != psi.rank:
-        raise ValueError("rank mismatch")
-    if phi.field != psi.field:
-        raise ValueError("field mismatch")
-    n = phi.rank
-    out = []
-    for k in range(1, n):
-        mixed = [phi.images[i] for i in range(k - 1)] + \
-                [psi.images[i] for i in range(k, n)]
-        out.append(certify_dense(mixed, budget, seed))
-    return LinksResult(all(v.dense for v in out), out)

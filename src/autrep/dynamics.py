@@ -613,8 +613,14 @@ def steer(phi: Representation, psi: Representation, epsilon: float,
     Stage k (k = n..1) right-multiplies coordinate k by a word in the other
     current coordinates approximating rho(x_k)^-1 psi(x_k); the stage
     requires those coordinates to generate a dense subgroup, which is
-    certified as the stages proceed (SteerStageError on failure).  A stage
-    that passes budget.time_cap_s raises TimeCapError, in every field.
+    certified as the stages proceed (SteerStageError(k) on failure).  At
+    stage k those coordinates are
+        <phi(x_1)..phi(x_{k-1}), psi'(x_{k+1})..psi'(x_n)>,
+    where psi' are the coordinates already steered toward psi: the paper's
+    linking condition, checked on the tuple the stage actually uses rather
+    than on psi itself.  A stage that passes budget.time_cap_s raises
+    TimeCapError, in every field.  Rank < 3 raises ValueError: at rank 2
+    each stage's tuple is a single element, never certified dense.
 
     Best demonstrated in the compact su2 field; in the noncompact fields
     approximation quality for distant targets is budget-limited, so keep
@@ -623,6 +629,8 @@ def steer(phi: Representation, psi: Representation, epsilon: float,
     _check_positive("epsilon", epsilon)
     if phi.rank != psi.rank or phi.field != psi.field:
         raise ValueError("representations must share rank and field")
+    if phi.rank < 3:
+        raise ValueError("steering needs rank >= 3")
     n = phi.rank
     current = phi
     total = FreeAutomorphism.identity(n)

@@ -205,6 +205,14 @@ class TestSteer:
         assert res.exit_code == 2
         assert "stage" in res.output
 
+    def test_steer_rank_two_exit_two(self, runner, tmp_path):
+        rng = np.random.default_rng(7)
+        phi = write_rep(tmp_path / "phi.json",
+                        [sl2.random_su2(rng).m for _ in range(2)], "su2")
+        res = runner.invoke(main, ["steer", "--phi", phi, "--psi", phi])
+        assert res.exit_code == 2
+        assert "error: steering needs rank >= 3" in res.output
+
 
 def without_run_details(obj):
     """A run's JSON minus what may differ between runs with the same seed:

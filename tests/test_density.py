@@ -14,12 +14,8 @@ from autrep.density import (
     TimeCapError,
     _levels,
     certify_dense,
-    links,
-    omega_member,
-    omega_tilde_search,
     opnorm,
     rational_angle_margin,
-    redundant_heuristic,
     replay_certificate,
     strongly_redundant,
 )
@@ -345,60 +341,6 @@ class TestCertifyDense:
                            GroupElement.identity("complex")], BUDGET)
 
 
-class TestOmega:
-    def test_superset_of_dense_stays_dense(self):
-        v = omega_member(dense_real_pair(), GroupElement.identity(), BUDGET, seed=0)
-        assert v.dense
-
-    def test_cyclic_power_not_dense(self):
-        g = GroupElement([[2, 1], [1, 1]])
-        v = omega_member([g], g @ g, BUDGET, seed=0)
-        assert not v.dense
-
-    def test_elliptic_plus_hyperbolic(self):
-        v = omega_member([rotation(0.5)], GroupElement([[2, 1], [1, 1]]), BUDGET, seed=0)
-        assert v.dense
-
-
-class TestOmegaTilde:
-    def test_strongly_redundant_triple_has_witness(self):
-        rng = np.random.default_rng(9)
-        trip = [random_su2(rng) for _ in range(3)]
-        res = omega_tilde_search(trip, BUDGET, seed=9)
-        assert res.witness is not None
-        # replay: each drop-one subtuple plus the witness is dense
-        for i in range(3):
-            sub = [trip[j] for j in range(3) if j != i] + [res.witness]
-            assert certify_dense(sub, BUDGET, seed=9).dense
-
-    def test_triangular_family_still_completable(self):
-        # a common fixed point of S does not block: each drop-one pair is
-        # nondiscrete (parabolic cascade), so a generic completion exists
-        S = [GroupElement([[2, 1], [0, 0.5]]), GroupElement([[1, 1], [0, 1]]),
-             GroupElement([[3, 1], [0, 1 / 3]])]
-        res = omega_tilde_search(S, SearchBudget(5, 300, 20.0), seed=0)
-        assert res.witness is not None
-
-    def test_identity_padding_blocks(self):
-        # dropping the only nontrivial coordinate leaves <id, id, g> = <g>,
-        # cyclic for every candidate: structurally impossible
-        rot = GroupElement(np.array([[0.6 + 0.8j, 0], [0, 0.6 - 0.8j]]), "su2")
-        S = [GroupElement.identity("su2"), GroupElement.identity("su2"), rot]
-        res = omega_tilde_search(S, SearchBudget(4, 150, 10.0), seed=0, max_attempts=4)
-        assert res.witness is None
-        assert "blocking_counts" in res.report
-
-    def test_dense_pair_plus_identity(self):
-        rng = np.random.default_rng(10)
-        S = [random_su2(rng), random_su2(rng), GroupElement.identity("su2")]
-        res = omega_tilde_search(S, BUDGET, seed=10)
-        assert res.witness is not None
-
-    def test_small_tuple_rejected(self):
-        with pytest.raises(ValueError):
-            omega_tilde_search(dense_real_pair(), BUDGET)
-
-
 class TestStronglyRedundant:
     def test_random_su2_triple(self):
         rng = np.random.default_rng(11)
@@ -427,72 +369,3 @@ class TestStronglyRedundant:
     def test_rank_guard(self):
         with pytest.raises(ValueError):
             strongly_redundant(Representation(dense_real_pair()), BUDGET)
-
-
-class TestRedundantHeuristic:
-    def test_strongly_redundant_gives_identity_witness(self):
-        rng = np.random.default_rng(14)
-        rep = Representation([random_su2(rng) for _ in range(3)])
-        res = redundant_heuristic(rep, BUDGET, seed=14)
-        assert res.status == "redundant"
-        assert res.automorphism.is_identity()
-        assert replay_certificate(res.certificate)
-
-    def test_duplicate_coordinate(self):
-        rng = np.random.default_rng(15)
-        g, h = random_su2(rng), random_su2(rng)
-        rep = Representation([g, g, h])
-        res = redundant_heuristic(rep, BUDGET, seed=15)
-        assert res.status == "redundant"
-        # replay through the witness automorphism: the claimed subtuple of
-        # the transformed representation is dense
-        from autrep.sl2 import act
-        moved = act(res.automorphism, rep)
-        sub = [moved.images[j] for j in range(3) if j != res.dropped_index]
-        assert certify_dense(sub, BUDGET, seed=15).dense
-
-    def test_schottky_not_found(self):
-        rep = Representation(sanov_pair())
-        res = redundant_heuristic(rep, SearchBudget(5, 150, 20.0), seed=16,
-                                  max_chain_length=1)
-        assert res.status == "not_found"
-
-    def test_cyclic_not_found(self):
-        g = GroupElement.identity("su2")
-        rep = Representation([g, g, g])
-        res = redundant_heuristic(rep, SearchBudget(4, 60, 10.0), seed=17,
-                                  max_chain_length=1)
-        assert res.status == "not_found"
-
-
-class TestLinks:
-    def test_strongly_redundant_links_itself(self):
-        rng = np.random.default_rng(18)
-        rep = Representation([random_su2(rng) for _ in range(3)])
-        out = links(rep, rep, BUDGET, seed=18)
-        assert out.links
-        assert len(out.per_k) == 2
-
-    def test_identity_psi_fails_structurally(self):
-        rng = np.random.default_rng(19)
-        phi = Representation([random_su2(rng) for _ in range(3)])
-        psi = Representation([GroupElement.identity("su2")] * 3)
-        out = links(phi, psi, BUDGET, seed=19)
-        assert not out.links
-        # k = n-1 mixed tuple is phi-prefix plus psi(x_n) = identity: that
-        # one may be dense, but k = 1 uses only psi coordinates
-        assert not out.per_k[0].dense
-
-    def test_random_dense_pair_links(self):
-        rng = np.random.default_rng(20)
-        phi = Representation([random_su2(rng) for _ in range(3)])
-        psi = Representation([random_su2(rng) for _ in range(3)])
-        out = links(phi, psi, BUDGET, seed=20)
-        assert out.links
-
-    def test_rank_mismatch(self):
-        rng = np.random.default_rng(21)
-        phi = Representation([random_su2(rng) for _ in range(3)])
-        psi = Representation([random_su2(rng) for _ in range(2)])
-        with pytest.raises(ValueError):
-            links(phi, psi, BUDGET)

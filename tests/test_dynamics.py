@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from autrep import _engine, dynamics
-from autrep.density import SearchBudget, TimeCapError, opnorm
+from autrep.density import SearchBudget, TimeCapError, opnorm, strongly_redundant
 from autrep.dynamics import (
     SteerStageError,
     WalkConfig,
@@ -733,8 +733,29 @@ class TestSteer:
         psi = Representation([random_su2(rng) for _ in range(3)])
         with pytest.raises(SteerStageError) as ei:
             steer(phi, psi, 0.15, BUDGET, seed=18)
-        assert ei.value.stage in (1, 2, 3)
+        assert ei.value.stage == 3
         assert not ei.value.verdict.dense
+
+    def test_stage_error_below_n_real(self):
+        # phi is strongly redundant and stage 3 passes, but the tuple stage 2
+        # certifies, <phi(x_1), psi'(x_3)> with psi'(x_3) the steered third
+        # coordinate, looks discrete
+        rng = np.random.default_rng([2, 77])
+        phi = Representation([random_element(rng, "real", 0.8) for _ in range(3)])
+        psi = Representation([random_element(rng, "real", 0.8) for _ in range(3)])
+        budget = SearchBudget(8, 5000, 30.0)
+        assert strongly_redundant(phi, budget, seed=2).strongly_redundant
+        with pytest.raises(SteerStageError) as ei:
+            steer(phi, psi, 0.15, budget, seed=2)
+        assert ei.value.stage == 2
+        assert ei.value.verdict.reason == "discrete-schottky-like"
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_below_three_rejected(self, rank):
+        rng = np.random.default_rng(23)
+        phi = Representation([random_su2(rng) for _ in range(rank)])
+        with pytest.raises(ValueError, match=r"steering needs rank >= 3"):
+            steer(phi, phi, 0.15, BUDGET)
 
     def test_result_serialization(self):
         rng = np.random.default_rng(19)
