@@ -341,6 +341,22 @@ class TestCertifyDense:
                            GroupElement.identity("complex")], BUDGET)
 
 
+class TestOmega:
+    # g lies in Omega(S) when <S, g> is dense; certify_dense on S + [g] decides it
+    def test_superset_of_dense_stays_dense(self):
+        v = certify_dense(dense_real_pair() + [GroupElement.identity()], BUDGET, seed=0)
+        assert v.dense
+
+    def test_cyclic_power_not_dense(self):
+        g = GroupElement([[2, 1], [1, 1]])
+        v = certify_dense([g, g @ g], BUDGET, seed=0)
+        assert not v.dense
+
+    def test_elliptic_plus_hyperbolic(self):
+        v = certify_dense([rotation(0.5), GroupElement([[2, 1], [1, 1]])], BUDGET, seed=0)
+        assert v.dense
+
+
 class TestStronglyRedundant:
     def test_random_su2_triple(self):
         rng = np.random.default_rng(11)
