@@ -414,7 +414,8 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     distance from v to u^-1 target, found by one nearest-neighbor query per
     u.  Covers |sphere|^2 candidate words at KD-tree cost.  Left factors
     have at most max_word_length // 2 letters and right factors at most
-    max(max_word_length // 2, 1), so no word exceeds the cap.
+    max_word_length - max_word_length // 2, so the words reach the cap and
+    no word exceeds it.
 
     Only the best (u, v) pair is used, so the query runs in two passes: the
     strided sample of left factors gives a distance the true minimum cannot
@@ -426,20 +427,20 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     t0 = time.monotonic()
     k = len(S)
     table = generator_table(S)
-    half = max(budget.max_word_length // 2, 1)
+    depth = budget.max_word_length - budget.max_word_length // 2
     cap = max(2 * k + 1, min(budget.max_candidates, 200_000))
     # cell size scaled to the tolerance: coarse cells merge the clusters
     # that generators near finite-order elements produce, letting the
     # breadth-first growth run deep instead of saturating the budget
     resolution = max(epsilon / 8.0, 1e-5)
-    levels, mats_levels = _sphere_levels(table, half, cap, resolution)
+    levels, mats_levels = _sphere_levels(table, depth, cap, resolution)
     if time.monotonic() - t0 > budget.time_cap_s:
         raise TimeCapError(budget.time_cap_s, 0)
     all_mats = np.concatenate([np.eye(2, dtype=np.complex128)[None]] + mats_levels)
     # level j occupies all_mats[starts[j]:starts[j + 1]]; index 0 is the empty word
     starts = np.cumsum([1] + [m.shape[0] for m in mats_levels])
     # the left factors u, words of up to max_word_length // 2 letters: all
-    # points, except at max_word_length 1, where it is the empty word alone
+    # points at even max_word_length, all but the deepest level at odd
     nu = int(starts[min(budget.max_word_length // 2, len(levels))])
 
     def word_at(i: int) -> tuple[int, ...]:

@@ -42,7 +42,7 @@ TWISTING_WORDS = (Word((2, 3, -2, -3), 3), Word((1, 3, -1, -3), 3))
 # largest twist exponent find_twisting_exponent tries
 M_MAX = 10
 # rows per block of the probe's products and of the CSV decoder
-BLOCK_ROWS = 40_000
+BLOCK_ROWS = 20_000
 # format_word text of the one-letter word of every uint8 nibble
 _TOKEN_OF_NIB = np.array([format_word(Word((v,), abs(v), _checked=True))
                           for v in map(_engine.letter_of_nib, range(256))], dtype=object)
@@ -415,7 +415,8 @@ def _scaled_step(P: np.ndarray, E: np.ndarray, G: np.ndarray, out: np.ndarray,
     """One step of scaled products mant * 2^E; rows 0-3 of P, G and out hold
     the entries 00, 01, 10, 11.  Writes P times G into out, then moves the
     power of two of each entry maximum into E (in place): an exact rescale to
-    unit scale.  Allocates nothing: scratch comes from _step_buffers."""
+    unit scale.  Allocates nothing: the caller passes the scratch, laid out
+    as _step_buffers gives it."""
     tmp, mag, ex = scratch
     a, b, c, d = P
     ga, gb, gc, gd = G
@@ -438,18 +439,51 @@ def _scaled_step(P: np.ndarray, E: np.ndarray, G: np.ndarray, out: np.ndarray,
 def _scaled_word_products(W: np.ndarray, table: np.ndarray):
     """Scaled products of table matrices along rows of W: returns (mant, exp)
     with true matrix = mant * 2^exp, so arbitrarily long products never
-    overflow."""
+    overflow.
+
+    Each distinct prefix of the rows is multiplied once.  At letter j a row
+    is a head when its first j + 1 letters differ from the previous row's;
+    only heads are stepped, each from its parent, the product of its first j
+    letters (the identity at j = 0).  Rows sorted by their letters, as the
+    probe's class rows are, share most prefixes with their neighbours.
+    _scaled_step works column by column and rescales by exact powers of two,
+    so every row gets the bits it would get multiplied out alone, whatever
+    the order, repetition or batching of the rows."""
     N, l = W.shape
     comp = table.reshape(-1, 4).T.copy()  # comp[e, c]: entry e of table[c]
     if W.size and W.max() >= comp.shape[1]:  # np.take's "clip" below would not raise
         raise IndexError(f"W has letter indices beyond the {comp.shape[1]} table matrices")
-    P, Q, scratch = _step_buffers(N, table.dtype)
-    G = np.empty_like(P)
-    E = np.zeros(N, dtype=np.int64)
+    Wt = W.T.copy()  # Wt[j]: letter j of every row, contiguous
+    # flat buffers: the first 4k entries viewed as (4, k) are contiguous, so
+    # np.take writes into them in place; each its own allocation, so the
+    # returned views keep no other buffer alive
+    n = max(N, 1)
+    prod, par, G = (np.empty(4 * n, table.dtype) for _ in range(3))
+    tmp, mag, ex = np.empty(n, table.dtype), np.empty(4 * n), np.empty(n, np.intc)
+    E, E_par = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    prod[:4] = (1.0, 0.0, 0.0, 1.0)  # before letter 0: one node, the identity
+    heads = np.zeros(N, dtype=bool)
+    heads[:1] = True
+    k = min(N, 1)
     for j in range(l):
-        np.take(comp, W[:, j], axis=1, out=G, mode="clip")
-        _scaled_step(P, E, G, Q, scratch)
-        P, Q = Q, P
+        new = np.empty(N, dtype=bool)
+        new[:1] = True
+        np.not_equal(Wt[j, 1:], Wt[j, :-1], out=new[1:])
+        new |= heads
+        parent = np.cumsum(heads[new])  # each head's node at letter j - 1
+        parent -= 1
+        prev_P, prev_E = prod[:4 * k].reshape(4, k), E[:k]
+        heads, k = new, parent.size
+        src, Gk, out, magk = (b[:4 * k].reshape(4, k) for b in (par, G, prod, mag))
+        np.take(prev_P, parent, axis=1, out=src, mode="clip")
+        np.take(prev_E, parent, out=E_par[:k], mode="clip")
+        np.take(comp, Wt[j][heads], axis=1, out=Gk, mode="clip")
+        _scaled_step(src, E_par[:k], Gk, out, (tmp[:k], magk, ex[:k]))
+        E, E_par = E_par, E
+    P, E = prod[:4 * k].reshape(4, k), E[:k]
+    if k < N:  # repeated rows: map each row to its node
+        node = np.cumsum(heads) - 1
+        P, E = P[:, node], E[node]
     return P.T.reshape(N, 2, 2), E
 
 
@@ -619,6 +653,11 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     height-1 basepoint.  Reports the minimum over classes of the larger
     ratio and the classes where an individual ratio vanishes.  Near-parabolic
     traces are re-verified exactly for integer generators of determinant 1.
+
+    Classes go through in blocks of at most BLOCK_ROWS rows of one length,
+    sorted by packed key, so neighbouring rows share long prefixes; each
+    block's products multiply every distinct prefix once (see
+    _scaled_word_products), with the bits of each row multiplied out alone.
     """
     if rho1.rank != rho2.rank or rho1.field != rho2.field:
         raise ValueError("representations must share rank and field")

@@ -648,6 +648,19 @@ class TestWordLengthCap:
         res = approximate_element([u], u @ u, 0.1, SearchBudget(1, 100, 10.0))
         assert res.word.letters == (1,) and not res.success
 
+    def test_odd_cap_su2_meet_reaches_the_cap(self):
+        # at max_word_length 3 the right factors have two letters: 5 left
+        # factors (at most one letter) against 17 points, where a cap of 2
+        # meets 5 against 5
+        rng = np.random.default_rng(7)
+        S = [random_su2(rng) for _ in range(2)]
+        target = S[0] @ S[1] @ S[0]
+        at2, at3 = (approximate_element(S, target, 1e-9, SearchBudget(cap, 1000, 60.0))
+                    for cap in (2, 3))
+        assert (at2.examined, at3.examined) == (25, 85)
+        assert not at2.success
+        assert at3.word.letters == (1, 2, 1) and at3.success
+
     @pytest.mark.parametrize("field", ["su2", "real", "complex"])
     @pytest.mark.parametrize("cap", [1, 2, 3])
     def test_word_within_max_word_length(self, field, cap):

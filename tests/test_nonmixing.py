@@ -244,6 +244,48 @@ class TestScaledProducts:
         with pytest.raises(IndexError):
             _scaled_word_products(np.array([[0, 6]], dtype=np.uint8), table)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1),
+           st.integers(0, 40), st.integers(0, 9), st.integers(1, 4),
+           st.sampled_from(["sorted", "drawn"]))
+    def test_shared_prefixes_match_reference(self, field, seed, N, l, prefixes, order):
+        # rows are one of a few prefixes cut at a random letter, then random
+        # letters; drawn with replacement, so rows repeat, and either sorted
+        # (as the probe's rows are) or left in drawn order
+        rng = np.random.default_rng(seed)
+        table = generator_table([random_element(rng, field, 1.5) for _ in range(3)])
+        base = rng.integers(0, 6, size=(prefixes, l))[rng.integers(0, prefixes, size=N)]
+        cut = rng.integers(0, l + 1, size=(N, 1))
+        W = np.where(np.arange(l) < cut, base, rng.integers(0, 6, size=(N, l)))
+        W = W[rng.integers(0, max(N, 1), size=N)].astype(np.uint8)
+        if order == "sorted":
+            W = W[sorted(range(N), key=lambda r: W[r].tobytes())]
+        P, E = _scaled_word_products(W, table)
+        want_P, want_E = reference_word_products(W, table)
+        assert P.shape == want_P.shape and P.tobytes() == want_P.tobytes()
+        assert E.dtype == want_E.dtype and np.array_equal(E, want_E)
+
+    def test_each_distinct_prefix_is_stepped_once(self, monkeypatch):
+        # per slot the steps cover each distinct (block, prefix) pair once:
+        # 27,470 prefixes for the 122,655 letters of the F3 L<=8 class rows
+        stepped = []
+        step = nonmixing._scaled_step
+
+        def spy(P, *args):
+            stepped.append(P.shape[1])
+            return step(P, *args)
+        monkeypatch.setattr(nonmixing, "_scaled_step", spy)
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        report = ps2_probe(pair.rho1, pair.rho2, 8, axis_check=False)
+        b = _engine.bits_per_letter(3)
+        distinct = letters = 0
+        for _, _, l, W in nonmixing._blocks(report.col_length, report.col_keys, b):
+            rows = [tuple(row) for row in W.tolist()]
+            distinct += len({row[:j] for row in rows for j in range(1, l + 1)})
+            letters += len(rows) * l
+        assert (distinct, letters) == (27_470, 122_655)
+        assert sum(stepped) == 2 * distinct
+
 
 def reference_word_products(W, table):
     """The scaled products with fresh arrays at every step: the four entry
