@@ -641,8 +641,9 @@ class TestProbe:
                         f"{rpt.col_kfit1[i]:.6g},{rpt.col_kfit2[i]:.6g}\n")
 
     # K = 5 mixes passing and failing axis checks; 97 rows puts block seams
-    # inside every length from 5 on
-    @pytest.mark.parametrize("K,block_rows", [(50.0, nonmixing.BLOCK_ROWS), (5.0, 97)])
+    # inside every length from 5 on, while 40,000 rows (like the default
+    # BLOCK_ROWS) exceed all 353 classes, so each length is one block
+    @pytest.mark.parametrize("K,block_rows", [(50.0, 40_000), (5.0, 97)])
     def test_csv_bytes_equal_per_row_writer(self, tmp_path, monkeypatch, K, block_rows):
         pair = twisted_pair(build_fuchsian_4punctured(), 2)
         rpt = ps2_probe(pair.rho1, pair.rho2, 5, K=K, window=2, axis_check=True)
