@@ -18,6 +18,7 @@ re-verified exactly when the generators are integer matrices of determinant 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -48,6 +49,9 @@ _TOKEN_OF_NIB = np.array([format_word(Word((v,), abs(v), _checked=True))
                           for v in map(_engine.letter_of_nib, range(256))], dtype=object)
 # entries per entry array in one block of _axis_checks
 AXIS_BLOCK = 10_000
+# entries per length at most in _segment_table, the products of every word
+# of at most d0 letters that _axis_checks looks its short segments up in
+AXIS_TABLE = 2 ** 13
 
 
 def _int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -403,10 +407,12 @@ class PS2Report:
 
 
 def _step_buffers(n: int, dtype) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Two (4, n) identity products to ping-pong between, and _scaled_step's
-    scratch: one row of products, the (4, n) entry magnitudes, the exponents."""
-    P, Q = np.zeros((2, 4, n), dtype)
-    P[[0, 3]] = 1.0
+    """Two (4, n) products to ping-pong between, and _scaled_step's scratch:
+    one row of products, the (4, n) entry magnitudes, the exponents.  The
+    two products share one allocation: allocated apart, large arrays can all
+    start at the same offset in a page (mmap'd blocks do), and the axis
+    check's steps measured about 1.5x slower that way."""
+    P, Q = np.empty((2, 4, n), dtype)
     return P, Q, (np.empty(n, dtype), np.empty((4, n)), np.empty(n, np.intc))
 
 
@@ -449,6 +455,20 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
     _scaled_step works column by column and rescales by exact powers of two,
     so every row gets the bits it would get multiplied out alone, whatever
     the order, repetition or batching of the rows."""
+    for P, E, heads in _prefix_products(W, table):
+        pass
+    if P.shape[1] < W.shape[0]:  # repeated rows: map each row to its node
+        node = np.cumsum(heads) - 1
+        P, E = P[:, node], E[node]
+    return P.T.reshape(W.shape[0], 2, 2), E
+
+
+def _prefix_products(W: np.ndarray, table: np.ndarray):
+    """The trie loop of _scaled_word_products: yields, before the first
+    letter and after each letter j, the (4, k) scaled products and k
+    exponents of the k distinct prefixes of j + 1 letters in row order (one
+    identity before the first), and the mask of the rows that head them.
+    The yielded arrays are overwritten at the next letter."""
     N, l = W.shape
     comp = table.reshape(-1, 4).T.copy()  # comp[e, c]: entry e of table[c]
     if W.size and W.max() >= comp.shape[1]:  # np.take's "clip" below would not raise
@@ -465,6 +485,7 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
     heads = np.zeros(N, dtype=bool)
     heads[:1] = True
     k = min(N, 1)
+    yield prod[:4 * k].reshape(4, k), E[:k], heads
     for j in range(l):
         new = np.empty(N, dtype=bool)
         new[:1] = True
@@ -480,11 +501,7 @@ def _scaled_word_products(W: np.ndarray, table: np.ndarray):
         np.take(comp, Wt[j][heads], axis=1, out=Gk, mode="clip")
         _scaled_step(src, E_par[:k], Gk, out, (tmp[:k], magk, ex[:k]))
         E, E_par = E_par, E
-    P, E = prod[:4 * k].reshape(4, k), E[:k]
-    if k < N:  # repeated rows: map each row to its node
-        node = np.cumsum(heads) - 1
-        P, E = P[:, node], E[node]
-    return P.T.reshape(N, 2, 2), E
+        yield out, E[:k], heads
 
 
 _LN2 = math.log(2.0)
@@ -528,11 +545,49 @@ def _distances(logX: np.ndarray) -> np.ndarray:
                     logX + _LN2)
 
 
-def _step_verdicts(logX: np.ndarray, delta: int, K: float) -> tuple[np.ndarray, np.ndarray]:
+def _log_x(P: np.ndarray, E: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log X = log(||seg||_F^2 / 2) per column of the (4, k) scaled products P
+    with exponents E, adding the entries' |.|^2 in the order 00, 01, 10, 11.
+    Works in m, (4, k) float scratch, and returns its row 0."""
+    f2, e2 = m[0], m[1]
+    np.square(np.abs(P, out=m), out=m)
+    for row in m[1:]:
+        f2 += row
+    f2 /= 2.0
+    logX = np.log(np.maximum(f2, 1e-300, out=f2), out=f2)
+    logX += np.multiply(E, 2 * _LN2, out=e2)
+    return logX
+
+
+def _segment_table(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Every word of at most d0 letters over the k table matrices, with d0 the
+    largest length such that k^d0 <= AXIS_TABLE: logs[delta][code] is log X
+    of the word of delta letters with code = sum of letter_j k^(delta-1-j)
+    (logs[0] holds the empty word's), and (P, E) are the (4, k^d0) scaled
+    products and exponents of the words of d0 letters.
+
+    The words of d0 letters in code order go through _prefix_products; their
+    prefixes of delta letters are every word of delta letters in code order,
+    each stepped by _scaled_step from the identity, so each entry has the
+    bits _axis_checks gets stepping that word."""
+    k = table.shape[0]
+    d0 = 0
+    while k ** (d0 + 1) <= AXIS_TABLE:
+        d0 += 1
+    words = np.indices((k,) * d0, dtype=np.uint8).reshape(d0, k ** d0).T
+    logs = []
+    for P, E, _ in _prefix_products(words, table):
+        logs.append(_log_x(P, E, np.empty((4, E.size))).copy())
+    return logs, P, E
+
+
+def _step_verdicts(logX, delta, K: float) -> tuple[np.ndarray, np.ndarray]:
     """The interval test delta/K - K <= d <= K*delta + K over each column of
     logX (one row per offset s), and the column's largest fit
     max(d/(delta+1), (-d + sqrt(d^2 + 4 delta))/2), as if every entry had
-    been tested and fitted on its own.
+    been tested and fitted on its own.  logX is one (k, nb) array and delta
+    an int, or a list of such arrays and an array of their deltas, which
+    gives (len(delta), nb) results, row i for delta[i].
 
     d is non-decreasing in log X, so the test holds for the column exactly
     when it holds at the column's min and max of log X, and the rising branch
@@ -544,19 +599,23 @@ def _step_verdicts(logX: np.ndarray, delta: int, K: float) -> tuple[np.ndarray, 
     lift it at a larger d by up to 2^-51 sqrt(d_max^2 + 4 delta); in the
     columns where it comes within four times that of the rising branch, it
     is taken over every entry."""
-    ends = np.concatenate((logX.min(axis=0), logX.max(axis=0)))
+    if np.ndim(delta) == 0:
+        good, fit = _step_verdicts([logX], np.array([delta]), K)
+        return good[0], fit[0]
+    dl = np.asarray(delta, dtype=float)[:, None]
+    ends = np.stack([x.min(axis=0) for x in logX] + [x.max(axis=0) for x in logX])
     d_min, d_max = np.split(_distances(ends), 2)
-    good = (d_max <= K * delta + K) & (d_min >= delta / K - K)
-    rising = d_max / (delta + 1.0)
-    falling = (-d_min + np.sqrt(d_min * d_min + 4.0 * delta)) / 2.0
-    near = falling + 2.0 ** -49 * np.sqrt(d_max * d_max + 4.0 * delta) >= rising
-    if near.any():
-        d = _distances(logX[:, near])
-        falling[near] = ((-d + np.sqrt(d * d + 4.0 * delta)) / 2.0).max(axis=0)
+    good = (d_max <= K * dl + K) & (d_min >= dl / K - K)
+    rising = d_max / (dl + 1.0)
+    falling = (-d_min + np.sqrt(d_min * d_min + 4.0 * dl)) / 2.0
+    near = falling + 2.0 ** -49 * np.sqrt(d_max * d_max + 4.0 * dl) >= rising
+    for i in np.flatnonzero(near.any(axis=1)):
+        d = _distances(logX[i][:, near[i]])
+        falling[i, near[i]] = ((-d + np.sqrt(d * d + 4.0 * dl[i])) / 2.0).max(axis=0)
     return good, np.maximum(rising, falling)
 
 
-def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
+def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float, segs=None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided K-quasi-geodesic test over all axis-point pairs (s, t),
     s < t <= window*||c||; returns (pass mask, best-fitting K) per row.
@@ -570,45 +629,60 @@ def _axis_checks(W: np.ndarray, table: np.ndarray, window: int, K: float
     Each step rescales by an exact power of two, so every segment gets the
     mantissa and exponent it would get multiplied out alone.
 
-    Per step t - s, log X = log(||seg||_F^2 / 2) is computed for every
-    segment, but the verdict and the fit are read from each row's min and max
-    of log X: d is non-decreasing in log X, the interval test is a bound on
-    each side, and the fit is a branch rising in d plus one falling in d (see
-    _step_verdicts for the rounding of the falling one).  So only those two
-    values per row need arccosh, and, as long as d keeps the order of log X
-    as evaluated, the result is the same bits as testing and fitting every
-    segment."""
+    A segment of delta <= d0 letters is a word of the table matrices, so its
+    log X is read from segs, the _segment_table of table (built here when
+    not given), at its running code code * k + letter; at delta = d0 + 1 the
+    segments start from the table's products of d0 letters.
+
+    log X = log(||seg||_F^2 / 2) is kept for every segment, but the verdict
+    and the fit are read from each row's min and max of log X per delta, in
+    one _step_verdicts pass per block: d is non-decreasing in log X, the
+    interval test is a bound on each side, and the fit is a branch rising in
+    d plus one falling in d (see _step_verdicts for the rounding of the
+    falling one).  So only those two values per row and delta need arccosh,
+    and, as long as d keeps the order of log X as evaluated, the result is
+    the same bits as testing and fitting every segment."""
     N, l = W.shape
     T = window * l
     ok = np.ones(N, dtype=bool)
     kfit = np.zeros(N, dtype=float)
+    k = table.shape[0]
+    if W.size and W.max() >= k:  # a running code would not raise
+        raise IndexError(f"W has letter indices beyond the {k} table matrices")
+    if not T:  # no pairs: every row passes
+        return ok, kfit
+    logs, P0, E0 = _segment_table(table) if segs is None else segs
+    d0 = min(len(logs) - 1, T)
     comp = table.reshape(-1, 4).T.copy()
     rows = max(1, AXIS_BLOCK // max(l, 1))
     for lo in range(0, N, rows):
         Wb = W[lo:lo + rows]
         nb = Wb.shape[0]
-        # column t*nb + r: position t, row r
-        G = np.take(comp, Wb.T[np.arange(T) % l], axis=1).reshape(4, -1)
-        P, Q, scratch = _step_buffers(l * nb, table.dtype)
-        mag = scratch[1]
-        E = np.zeros(l * nb, dtype=np.int64)
-        for delta in range(1, T + 1):
-            live = min(l, T - delta + 1) * nb  # column s*nb + r: offset s, row r
-            E = E[:live]
-            _scaled_step(P[:, :live], E, G[:, (delta - 1) * nb:][:, :live], Q[:, :live],
-                         tuple(s[..., :live] for s in scratch))
-            P, Q = Q[:, :live], P[:, :live]
-            f2, e2, m = mag[0, :live], mag[1, :live], mag[:, :live]
-            # ||seg||_F^2, adding the entries' |.|^2 in the order 00, 01, 10, 11
-            np.square(np.abs(P, out=m), out=m)
-            for row in m[1:]:
-                f2 += row
-            f2 /= 2.0
-            logX = np.log(np.maximum(f2, 1e-300, out=f2), out=f2)
-            logX += np.multiply(E, 2 * _LN2, out=e2)
-            good, fit = _step_verdicts(logX.reshape(-1, nb), delta, K)
-            ok[lo:lo + nb] &= good
-            kfit[lo:lo + nb] = np.maximum(kfit[lo:lo + nb], fit)
+        at = Wb.T[np.arange(T) % l]  # at[t, r]: the letter at position t + 1 of row r
+        code = np.zeros(l * nb, dtype=np.intp)  # column s*nb + r: offset s, row r
+        logX = []  # per delta, (offsets, nb)
+        for delta in range(1, d0 + 1):
+            live = min(l, T - delta + 1) * nb
+            code = code[:live]
+            code *= k
+            code += at[delta - 1:].reshape(-1)[:live]
+            logX.append(logs[delta][code].reshape(-1, nb))
+        if d0 < T:
+            code = code[:min(l, T - d0) * nb]
+            P, Q, scratch = _step_buffers(code.size, table.dtype)
+            np.take(P0, code, axis=1, out=P, mode="clip")
+            E = E0[code]
+            G = np.take(comp, at[d0:], axis=1).reshape(4, -1)
+            for delta in range(d0 + 1, T + 1):
+                live = min(l, T - delta + 1) * nb
+                E = E[:live]
+                _scaled_step(P[:, :live], E, G[:, (delta - 1 - d0) * nb:][:, :live], Q[:, :live],
+                             tuple(s[..., :live] for s in scratch))
+                P, Q = Q[:, :live], P[:, :live]
+                logX.append(_log_x(P, E, scratch[1][:, :live]).reshape(-1, nb).copy())
+        good, fit = _step_verdicts(logX, np.arange(1, T + 1), K)
+        ok[lo:lo + nb] = good.all(axis=0)
+        kfit[lo:lo + nb] = fit.max(axis=0)
     return ok, kfit
 
 
@@ -658,11 +732,14 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     sorted by packed key, so neighbouring rows share long prefixes; each
     block's products multiply every distinct prefix once (see
     _scaled_word_products), with the bits of each row multiplied out alone.
+    With the axis check, each slot's _segment_table is built once, before the
+    first block.
     """
     if rho1.rank != rho2.rank or rho1.field != rho2.field:
         raise ValueError("representations must share rank and field")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
+    window = int(window)
     if not (math.isfinite(K) and K >= 1.0):
         raise ValueError(f"K must be finite and >= 1, got {K}")
     n = rho1.rank
@@ -675,10 +752,13 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     col_l1, col_l2 = np.empty(total), np.empty(total)
     col_axis1, col_axis2 = np.zeros(total, dtype=bool), np.zeros(total, dtype=bool)
     col_kfit1, col_kfit2 = np.zeros(total), np.zeros(total)
-    slots = [(generator_table(rho1.images), _integer_images(rho1), col_l1, col_axis1, col_kfit1),
-             (generator_table(rho2.images), _integer_images(rho2), col_l2, col_axis2, col_kfit2)]
+    slots = []
+    for rho, cols in ((rho1, (col_l1, col_axis1, col_kfit1)), (rho2, (col_l2, col_axis2, col_kfit2))):
+        table = generator_table(rho.images)
+        segs = _segment_table(table) if axis_check else None
+        slots.append((table, _integer_images(rho), segs, *cols))
     for lo, hi, l, W in _blocks(col_length, col_keys, eng.b):
-        for table, int_mats, col_l, col_axis, col_kfit in slots:
+        for table, int_mats, segs, col_l, col_axis, col_kfit in slots:
             P, E = _scaled_word_products(W, table)
             trm = P[:, 0, 0] + P[:, 1, 1]
             lengths = col_l[lo:hi]
@@ -687,7 +767,7 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
             if not np.isfinite(lengths).all():
                 raise ValueError(f"non-finite translation length at length {l}")
             if axis_check:
-                col_axis[lo:hi], col_kfit[lo:hi] = _axis_checks(W, table, window, K)
+                col_axis[lo:hi], col_kfit[lo:hi] = _axis_checks(W, table, window, K, segs=segs)
     return PS2Report(rank=n, field=rho1.field, length_cap=length_cap, K=K, window=window,
                      col_length=col_length, col_keys=col_keys, col_l1=col_l1, col_l2=col_l2,
                      col_axis1=col_axis1, col_axis2=col_axis2,

@@ -243,6 +243,8 @@ class TestScaledProducts:
         table = generator_table([GroupElement.identity()] * 3)
         with pytest.raises(IndexError):
             _scaled_word_products(np.array([[0, 6]], dtype=np.uint8), table)
+        with pytest.raises(IndexError):
+            nonmixing._axis_checks(np.array([[0, 6]], dtype=np.uint8), table, 1, 5.0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1),
@@ -351,6 +353,29 @@ def scalar_axis_checks(W, table, window, K):
     return ok, kfit
 
 
+def verdict_entries(rng, k, nb, where):
+    """(k, nb) log X entries a few ulps apart per column: around values
+    spread over [1e-6, 50], around 30 ("switch") or around 0 ("clamp")."""
+    if where == "spread":
+        base = 10.0 ** rng.uniform(-6, 1.7, size=nb)
+        logX = base + rng.integers(-50, 51, size=(k, nb)) * np.spacing(base)
+        logX[:, rng.random(nb) < 0.3] *= rng.uniform(0.2, 2.0)
+        return logX
+    base, ulp = (30.0, np.spacing(30.0)) if where == "switch" else (0.0, 2.0 ** -52)
+    return base + rng.integers(-8, 9, size=(k, nb)) * ulp
+
+
+def every_entry_verdicts(logX, delta, K):
+    """Each column's interval test and fit from every entry's own distance,
+    and the distances."""
+    d = np.where(logX < 30.0,
+                 np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
+                 logX + math.log(2.0))
+    good = ((d <= K * delta + K) & (d >= delta / K - K)).all(axis=0)
+    fit = np.maximum(d / (delta + 1.0), (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0)
+    return good, fit.max(axis=0), d
+
+
 def cyclic_rows(rng, N, l, k2=6):
     """N random cyclically reduced rows of nibbles (nibble c ^ 1 inverts c)."""
     rows = []
@@ -366,14 +391,17 @@ def cyclic_rows(rng, N, l, k2=6):
 
 
 class TestAxisChecks:
+    # the segment table holds words of up to 6, 5 and 4 letters at ranks 2,
+    # 3 and 4, so T = window * l from 1 to 24 covers blocks that only look
+    # up, and blocks that look up and then step
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["real", "complex"]), st.integers(0, 2**32 - 1),
            st.integers(1, 8), st.sampled_from([1, 2, 3]), st.integers(1, 4),
-           st.sampled_from([2.0, 5.0, 50.0]))
-    def test_matches_scalar_oracle(self, field, seed, l, window, N, K):
+           st.sampled_from([2.0, 5.0, 50.0]), st.sampled_from([2, 3, 4]))
+    def test_matches_scalar_oracle(self, field, seed, l, window, N, K, rank):
         rng = np.random.default_rng(seed)
-        table = generator_table([random_element(rng, field, 1.0) for _ in range(3)])
-        W = cyclic_rows(rng, N, l)
+        table = generator_table([random_element(rng, field, 1.0) for _ in range(rank)])
+        W = cyclic_rows(rng, N, l, k2=2 * rank)
         ok, kfit = nonmixing._axis_checks(W, table, window, K)
         want_ok, want_kfit = scalar_axis_checks(W, table, window, K)
         assert np.array_equal(ok, want_ok)
@@ -404,22 +432,34 @@ class TestAxisChecks:
         # "switch" puts columns on both sides of log X = 30, where the distance
         # changes formula; "clamp" puts them around 0, where exp(log X) meets
         # the max(., 1) clamp.
-        rng = np.random.default_rng(seed)
-        if where == "spread":
-            base = 10.0 ** rng.uniform(-6, 1.7, size=nb)
-            logX = base + rng.integers(-50, 51, size=(k, nb)) * np.spacing(base)
-            logX[:, rng.random(nb) < 0.3] *= rng.uniform(0.2, 2.0)
-        else:
-            base, ulp = (30.0, np.spacing(30.0)) if where == "switch" else (0.0, 2.0 ** -52)
-            logX = base + rng.integers(-8, 9, size=(k, nb)) * ulp
+        logX = verdict_entries(np.random.default_rng(seed), k, nb, where)
         good, fit = nonmixing._step_verdicts(logX, delta, K)
-        d = np.where(logX < 30.0,
-                     np.arccosh(np.maximum(np.exp(np.minimum(logX, 30.0)), 1.0)),
-                     logX + math.log(2.0))
-        want_good = ((d <= K * delta + K) & (d >= delta / K - K)).all(axis=0)
-        want_fit = np.maximum(d / (delta + 1.0), (-d + np.sqrt(d * d + 4.0 * delta)) / 2.0)
+        want_good, want_fit, _ = every_entry_verdicts(logX, delta, K)
         assert np.array_equal(good, want_good)
-        assert fit.tobytes() == want_fit.max(axis=0).tobytes()
+        assert fit.tobytes() == want_fit.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 6),
+           st.sampled_from([2.0, 5.0, 50.0]))
+    def test_step_verdicts_over_many_deltas_equal_every_entry(self, seed, T, nb, K):
+        # deltas 1..T in one call, each with its own number of offsets, as
+        # _axis_checks makes it; one delta at least is "clamp", whose columns
+        # are all near: the falling branch of the fit beats the rising one
+        rng = np.random.default_rng(seed)
+        wheres = rng.choice(["spread", "switch", "clamp"], size=T)
+        wheres[rng.integers(T)] = "clamp"
+        logX = [verdict_entries(rng, int(rng.integers(1, 9)), nb, w) for w in wheres]
+        good, fit = nonmixing._step_verdicts(logX, np.arange(1, T + 1), K)
+        assert good.shape == fit.shape == (T, nb)
+        falling_wins = False
+        for i, x in enumerate(logX):
+            want_good, want_fit, d = every_entry_verdicts(x, i + 1, K)
+            assert np.array_equal(good[i], want_good)
+            assert fit[i].tobytes() == want_fit.tobytes()
+            lo, hi = d.min(axis=0), d.max(axis=0)
+            falling_wins |= bool(((-lo + np.sqrt(lo * lo + 4.0 * (i + 1))) / 2.0
+                                  >= hi / (i + 2.0)).any())
+        assert falling_wins
 
     def test_result_does_not_depend_on_axis_block(self, monkeypatch):
         # a short last block must not read what a longer one left behind
@@ -430,15 +470,24 @@ class TestAxisChecks:
         # the one-row blocks to a few seconds
         probes = [lambda: demo_pipeline(6, 5.0)[0], lambda: ps2_probe(c1, c2, 5, K=2.0)]
         axis_columns = ("col_axis1", "col_axis2", "col_kfit1", "col_kfit2")
+        # nor on the segment table: 1 entry holds only the empty word, so
+        # every segment is stepped; 6^6 entries hold the words of up to 6
+        # letters, so the blocks of lengths 1-3 (T = 2l <= 6) only look up
+        patches = [("AXIS_BLOCK", 37), ("AXIS_BLOCK", 1), ("AXIS_TABLE", 1), ("AXIS_TABLE", 6 ** 6)]
         for probe in probes:
             want = probe()
             assert 0 < want.axis_pass_count_1 < want.total_classes
-            for block in (37, 1):
-                monkeypatch.setattr(nonmixing, "AXIS_BLOCK", block)
+            for name, value in patches:
+                monkeypatch.setattr(nonmixing, name, value)
                 got = probe()
                 for c in axis_columns:
-                    assert getattr(got, c).tobytes() == getattr(want, c).tobytes(), (block, c)
-            monkeypatch.undo()
+                    assert getattr(got, c).tobytes() == getattr(want, c).tobytes(), (name, value, c)
+                monkeypatch.undo()
+        for cap, d0 in ((1, 0), (6 ** 6, 6), (6 ** 6 - 1, 5)):
+            monkeypatch.setattr(nonmixing, "AXIS_TABLE", cap)
+            logs, P, E = nonmixing._segment_table(np.zeros((6, 2, 2)))
+            assert [x.size for x in logs] == [6 ** j for j in range(d0 + 1)]
+            assert P.shape == (4, 6 ** d0) and E.shape == (6 ** d0,)
 
 
 class TestProbe:
@@ -652,6 +701,20 @@ class TestProbe:
         monkeypatch.setattr(nonmixing, "BLOCK_ROWS", block_rows)
         rpt.write_csv(str(got), 3, "manifest: {}")
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("window", [2.0, True, 0, "2"])
+    def test_rejects_a_window_before_enumerating(self, monkeypatch, window):
+        def enumerate_(*args):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(_engine.PackedEngine, "primitive_class_keys", enumerate_)
+        rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
+        with pytest.raises(ValueError, match="window must be an integer >= 1"):
+            ps2_probe(rep, rep, 3, window=window)
+
+    def test_numpy_integer_window_reports_as_int(self):
+        rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
+        rpt = ps2_probe(rep, rep, 3, window=np.int64(2))
+        assert type(rpt.window) is int and rpt == ps2_probe(rep, rep, 3, window=2)
 
     def test_non_finite_length_raises(self, monkeypatch):
         rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
