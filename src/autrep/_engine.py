@@ -22,6 +22,13 @@ BATCH images.  Each orbit is expanded about once, not once per candidate
 key: a batch is a strided pick from the candidates still to do, and the
 candidates it covers are dropped before the next.
 
+The orbit minima the scan collects stay on the engine (orbit_minima), and
+basic_lemma_sweep runs the Whitehead-graph predicate on them alone, once
+per signed-permutation orbit rather than once per class.  That is exact:
+a signed permutation sends the junction edge {c, d^-1} to
+{sigma c, (sigma d)^-1}, so it only relabels the graph's vertices, and
+rotating or inverting the cyclic word keeps its junction edges.
+
 The cyclic-length change of a second-kind move is a sum over the word's
 cyclic junctions: a junction (c, d) is the Whitehead-graph edge
 {c, d^-1}, and it contributes one if the move's letter set Y separates its
@@ -311,8 +318,8 @@ class PackedEngine:
         self.moves, self.Ytab, self.a_nib = table.moves, table.Ytab, table.a_nib
         self._table = table
         self.perms = signed_perm_tables(n)
-        # sorted edge masks and their verdicts; the last, 2^64 - 1, is no graph
-        self._verdicts = (np.array([~U64(0)]), np.zeros(1, dtype=bool))
+        # the last primitive_class_keys call's orbit minima, by length
+        self.orbit_minima: dict[int, np.ndarray] = {}
 
     # -- moves ---------------------------------------------------------
 
@@ -400,6 +407,9 @@ class PackedEngine:
         a primitive class of length L > 1 is shortened by some second-kind
         move (Y, a); the inverse move (Y - a + a^-1, a^-1) is again second
         kind, so every class of length L is a lengthening image of a shorter one.
+
+        Leaves the least key of every signed-permutation orbit met in
+        self.orbit_minima, one sorted array per length as in the result.
         """
         if length_cap < 1:
             raise ValueError("length cap must be >= 1")
@@ -413,8 +423,9 @@ class PackedEngine:
         seen[1], reps = self.orbit_keys(gen_keys, 1)
         pending[1].append(reps)
         # no move takes a class of length length_cap to one within the cap
+        minima = {}
         for l in range(1, length_cap):
-            reps = sorted_unique(np.concatenate(pending[l]))
+            reps = minima[l] = sorted_unique(np.concatenate(pending[l]))
             for lo in range(0, reps.shape[0], SCAN_BLOCK):
                 W = unpack_keys(reps[lo:lo + SCAN_BLOCK], l, self.b)
                 # (move, row) pairs with 1 <= delta <= cap - l, move-major, in
@@ -434,43 +445,11 @@ class PackedEngine:
                     members, reps2 = self.orbit_keys(cand, lp)
                     seen[lp] = sorted_unique(np.concatenate([seen[lp], members]))
                     pending[lp].append(reps2)
+        minima[length_cap] = sorted_unique(np.concatenate(pending[length_cap]))
+        self.orbit_minima = {l: m for l, m in minima.items() if m.size}
         return {l: keys for l, keys in seen.items() if keys.size}
 
     # -- whole-graph predicates -----------------------------------------
-
-    def edge_masks(self, W: np.ndarray) -> np.ndarray:
-        """The simple Whitehead graph of each cyclically reduced row as a
-        uint64 bitmask over the vertex pairs {i < j} (28 bits for rank 4)."""
-        n2 = 2 * self.n
-        if n2 * (n2 - 1) // 2 > 64:
-            raise ValueError("edge masks support rank <= 5")
-        bit = np.zeros((n2, n2), dtype=U64)
-        for k, (i, j) in enumerate(itertools.combinations(range(n2), 2)):
-            bit[i, j] = bit[j, i] = U64(1) << U64(k)
-        out = np.zeros(W.shape[0], dtype=U64)
-        for j in range(W.shape[1]):
-            out |= bit[W[:, j], W[:, (j + 1) % W.shape[1]] ^ 1]
-        return out
-
-    def count_connected_cutpoint_free(self, W: np.ndarray) -> int:
-        """connected_cutpoint_free_mask(W).sum(), running the predicate once
-        per simple graph not met in earlier calls and weighting each verdict
-        by the number of rows that share that graph.  Exact: the predicate
-        only reads the simple graph."""
-        masks = self.edge_masks(W)
-        graphs = sorted_unique(masks)
-        which = np.searchsorted(graphs, masks)
-        known, verdicts = self._verdicts
-        pos = np.searchsorted(known, graphs)
-        seen = known[pos] == graphs
-        hit = seen & verdicts[pos]
-        rep = np.empty(graphs.size, dtype=np.int64)
-        rep[which] = np.arange(W.shape[0])  # any row of each graph will do
-        fresh = ~seen
-        hit[fresh] = self.connected_cutpoint_free_mask(W[rep[fresh]])
-        self._verdicts = (np.insert(known, pos[fresh], graphs[fresh]),
-                          np.insert(verdicts, pos[fresh], hit[fresh]))
-        return int(np.bincount(which, minlength=graphs.size)[hit].sum())
 
     def connected_cutpoint_free_mask(self, W: np.ndarray) -> np.ndarray:
         """For each cyclically reduced row: is its Whitehead graph connected

@@ -740,8 +740,9 @@ def ps2_probe(rho1: Representation, rho2: Representation, length_cap: int,
     if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
         raise ValueError(f"window must be an integer >= 1, got {window!r}")
     window = int(window)
-    if not (math.isfinite(K) and K >= 1.0):
-        raise ValueError(f"K must be finite and >= 1, got {K}")
+    if (isinstance(K, bool) or not isinstance(K, numbers.Real)
+            or not (math.isfinite(K) and K >= 1.0)):
+        raise ValueError(f"K must be a finite real >= 1, got {K!r}")
     n = rho1.rank
     eng = _engine.PackedEngine(n)
     keys = sorted(eng.primitive_class_keys(length_cap).items())

@@ -240,9 +240,8 @@ def exponent_gcd(w: Word) -> int:
 
 # -- enumeration -----------------------------------------------------------
 
-# rows per block in iter_primitive_class_letters and in basic_lemma_sweep
+# rows per block in iter_primitive_class_letters
 LETTERS_BLOCK = 100_000
-SWEEP_BLOCK = 200_000
 
 
 def primitive_class_keys(n: int, length_cap: int) -> dict[int, np.ndarray]:
@@ -290,17 +289,22 @@ def basic_lemma_sweep(n: int, length_cap: int) -> SweepReport:
     """Check every primitive class of cyclic length <= length_cap against the
     Basic Lemma: its Whitehead graph must be disconnected or have a cutpoint.
     Returns the violation count (expected 0) over the full enumeration.
+
+    The predicate runs once per signed-permutation orbit, on the orbit minima
+    the enumeration leaves in eng.orbit_minima.  The verdict is the same on
+    the whole orbit: a signed permutation only relabels the vertices of the
+    Whitehead graph, and rotating or inverting the cyclic word leaves the
+    graph as it is.  A minimum that violates counts every class of its orbit.
     """
     if n > 4:  # checked before the enumeration, whose cost grows with length_cap
         raise ValueError("bitmask predicate supports rank <= 4")
     eng = _engine.PackedEngine(n)
-    keys = eng.primitive_class_keys(length_cap)
-    counts = {l: int(k.size) for l, k in sorted(keys.items())}
+    counts = {l: int(k.size) for l, k in sorted(eng.primitive_class_keys(length_cap).items())}
     violations = 0
-    for l in counts:
-        for lo in range(0, counts[l], SWEEP_BLOCK):
-            W = _engine.unpack_keys(keys[l][lo:lo + SWEEP_BLOCK], l, eng.b)
-            violations += eng.count_connected_cutpoint_free(W)
+    for l, minima in eng.orbit_minima.items():
+        bad = minima[eng.connected_cutpoint_free_mask(_engine.unpack_keys(minima, l, eng.b))]
+        if bad.size:
+            violations += eng.orbit_keys(bad, l)[0].size
     return SweepReport(n, length_cap, sum(counts.values()), violations, counts)
 
 

@@ -23,7 +23,7 @@ from autrep.freegroup import (
     whitehead_automorphism,
     whitehead_moves_second_kind,
 )
-from autrep.whitehead import basic_lemma_filter, decide_primitive
+from autrep.whitehead import basic_lemma_filter, basic_lemma_sweep, decide_primitive
 
 
 def random_core(rng, n, length):
@@ -205,6 +205,13 @@ def cyclic_nib_rows(draw, n, l):
     return row
 
 
+def all_cyclic_classes(eng, l):
+    """Canonical keys of every cyclically reduced word of length l."""
+    W = np.array(list(itertools.product(range(2 * eng.n), repeat=l)), dtype=np.uint8)
+    W = W[(W[:, 1:] != W[:, :-1] ^ 1).all(axis=1) & (W[:, 0] != W[:, -1] ^ 1)]
+    return _engine.sorted_unique(_engine.canonical_keys(_engine.pack_rows(W, eng.b), l, eng.b))
+
+
 class TestGraphPredicate:
     @given(cyclic_words((3, 4), 16))
     @settings(max_examples=200)
@@ -235,60 +242,50 @@ class TestGraphPredicate:
                 np.array(rows, dtype=np.uint8))
             assert got.tolist() == want
 
-    def test_distinct_graph_count_matches_mask_sum(self):
-        rng = random.Random(12)
-        for n in (2, 3, 4):
-            eng = _engine.PackedEngine(n)
-            # [x1, x2] ... [x1, xn] is not primitive, and its graph is
-            # connected and free of cutpoints
-            comm = reduce([v for j in range(2, n + 1) for v in (1, j, -1, -j)], n)
-            l = len(comm)
-            assert not basic_lemma_filter(comm)
-            words = [comm] + [w for w in (random_core(rng, n, l) for _ in range(300))
-                              if len(w) == l]
-            rows = []
-            for w in words:
-                row = [_engine.nib_of_letter(v) for v in w.letters]
-                r = rng.randrange(l)
-                rows += [row, row[r:] + row[:r]]  # a rotation has the same graph
-            W = np.array(rows, dtype=np.uint8)
-            want = int(eng.connected_cutpoint_free_mask(W).sum())
-            assert want > 0
-            assert np.unique(eng.edge_masks(W)).size < W.shape[0]
-            assert eng.count_connected_cutpoint_free(W) == want
-            assert eng.count_connected_cutpoint_free(W[:0]) == 0
-
-    def test_verdicts_carry_across_calls(self):
-        rng = random.Random(5)
-        n = 4
-        comm = reduce([v for j in range(2, n + 1) for v in (1, j, -1, -j)], n)
-        words = [comm] + [w for w in (random_core(rng, n, 12) for _ in range(400))
-                          if len(w) == 12]
-        W = np.array([[_engine.nib_of_letter(v) for v in w.letters] for w in words],
-                     dtype=np.uint8)
+    # (classes, orbits, connected cutpoint-free graphs) of every cyclically
+    # reduced word: F2 at length 8 and F3 at length 6; at rank 4 the orbits
+    # of random words of length 10 to 12, since no length-5 graph violates
+    @pytest.mark.parametrize("n,lengths,want", [
+        (2, (8,), (418, 84, 390)),
+        (3, (6,), (1_319, 59, 164)),
+        (4, (10, 11, 12), None),
+    ])
+    def test_orbit_count_matches_mask_sum(self, monkeypatch, n, lengths, want):
+        # the sweep over orbit-closed key sets that are not all primitive:
+        # minima plus orbit expansion count what the predicate on every key does
         eng = _engine.PackedEngine(n)
-        want = int(eng.connected_cutpoint_free_mask(W).sum())
-        tested = []
-        real = eng.connected_cutpoint_free_mask
-        eng.connected_cutpoint_free_mask = lambda rows: (tested.append(rows.shape[0]),
-                                                         real(rows))[1]
-        half = W.shape[0] // 2
-        got = eng.count_connected_cutpoint_free(W[:half])
-        got += eng.count_connected_cutpoint_free(np.roll(W[half:], 3, axis=1))
-        assert got == want > 0
-        assert sum(tested) == np.unique(eng.edge_masks(W)).size
-        assert eng.count_connected_cutpoint_free(W) == want
-        assert sum(tested[2:]) == 0
+        rng = random.Random(22)
+        classes = {}
+        for l in lengths:
+            if want is not None:
+                classes[l] = all_cyclic_classes(eng, l)
+                continue
+            W = np.array([[_engine.nib_of_letter(v) for v in w.letters]
+                          for w in (random_core(rng, n, l) for _ in range(60)) if len(w) == l],
+                         dtype=np.uint8)
+            classes[l] = eng.orbit_keys(
+                _engine.canonical_keys(_engine.pack_rows(W, eng.b), l, eng.b), l)[0]
+        minima = {l: eng.orbit_keys(k, l)[1] for l, k in classes.items()}
+        mask_sum = sum(int(eng.connected_cutpoint_free_mask(
+            _engine.unpack_keys(k, l, eng.b)).sum()) for l, k in classes.items())
 
-    @given(cyclic_words((2, 3, 4), 12))
-    def test_edge_masks_are_the_simple_graph(self, nw):
-        n, w = nw
-        [mask] = _engine.PackedEngine(n).edge_masks(nib_row(w))
-        pairs = list(itertools.combinations(range(2 * n), 2))
-        got = {pairs[k] for k in range(len(pairs)) if int(mask) >> k & 1}
-        c = [_engine.nib_of_letter(v) for v in w.letters]
-        want = {tuple(sorted((c[i], c[(i + 1) % len(c)] ^ 1))) for i in range(len(c))}
-        assert got == want
+        def enumerate_(self, length_cap):
+            self.orbit_minima = minima
+            return classes
+        rows = []
+        real = _engine.PackedEngine.connected_cutpoint_free_mask
+        monkeypatch.setattr(_engine.PackedEngine, "primitive_class_keys", enumerate_)
+        monkeypatch.setattr(_engine.PackedEngine, "connected_cutpoint_free_mask",
+                            lambda self, W: (rows.append(W.shape[0]), real(self, W))[1])
+        rep = basic_lemma_sweep(n, max(lengths))
+        total = sum(k.size for k in classes.values())
+        orbits = sum(m.size for m in minima.values())
+        assert rep.total_classes == total
+        assert sum(rows) == orbits
+        assert rep.violations == mask_sum
+        assert 0 < mask_sum < total
+        if want is not None:
+            assert (total, orbits, mask_sum) == want
 
 
 class TestMoves:
@@ -602,6 +599,20 @@ class TestEnumeration:
         for l in want:
             assert got[l].dtype == want[l].dtype
             assert np.array_equal(got[l], want[l])
+
+    @pytest.mark.parametrize("n,cap", [(2, 12), (3, 7), (4, 6)])
+    def test_orbit_minima_partition_the_classes(self, n, cap):
+        eng = _engine.PackedEngine(n)
+        keys = eng.primitive_class_keys(cap)
+        assert sorted(eng.orbit_minima) == sorted(keys)
+        for l, minima in eng.orbit_minima.items():
+            assert np.array_equal(eng.orbit_keys(minima, l)[0], keys[l])
+            sizes = 0
+            for m in minima:
+                members, least = eng.orbit_keys(m[None], l)
+                assert members[0] == m and least.tolist() == [m]
+                sizes += members.size
+            assert sizes == keys[l].size
 
     @pytest.mark.parametrize("n,cap", [(2, 12), (3, 8), (4, 6)])
     def test_every_applied_move_lengthens(self, n, cap):

@@ -711,6 +711,15 @@ class TestProbe:
         with pytest.raises(ValueError, match="window must be an integer >= 1"):
             ps2_probe(rep, rep, 3, window=window)
 
+    @pytest.mark.parametrize("K", [True, False, "50", None, float("inf"), float("nan"), 0.5])
+    def test_rejects_a_K_before_enumerating(self, monkeypatch, K):
+        def enumerate_(*args):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(_engine.PackedEngine, "primitive_class_keys", enumerate_)
+        rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
+        with pytest.raises(ValueError, match="K must be a finite real >= 1"):
+            ps2_probe(rep, rep, 3, K=K)
+
     def test_numpy_integer_window_reports_as_int(self):
         rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
         rpt = ps2_probe(rep, rep, 3, window=np.int64(2))

@@ -325,6 +325,21 @@ class TestEnumeration:
         assert rep.violations == 0
         assert rep.total_classes == sum(rep.counts_by_length.values())
 
+    def test_basic_lemma_sweep_f4_le9(self, monkeypatch):
+        # thousands of orbits in well under a second, with the class count of
+        # every length pinned
+        rows = []
+        real = _engine.PackedEngine.connected_cutpoint_free_mask
+        monkeypatch.setattr(_engine.PackedEngine, "connected_cutpoint_free_mask",
+                            lambda self, W: (rows.append(W.shape[0]), real(self, W))[1])
+        rep = basic_lemma_sweep(4, 9)
+        assert rep.violations == 0
+        assert rep.total_classes == 2_121_560
+        assert rep.counts_by_length == {1: 4, 2: 12, 3: 56, 4: 264, 5: 1_584, 6: 8_440,
+                                        7: 52_392, 8: 287_472, 9: 1_771_336}
+        # one predicate row per signed-permutation orbit
+        assert sum(rows) == 6_484
+
     def test_sweep_rejects_rank_5_before_enumerating(self, monkeypatch):
         def enumerate_keys(self, length_cap):
             raise AssertionError("enumerated before the rank check")
