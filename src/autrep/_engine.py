@@ -362,8 +362,6 @@ class PackedEngine:
         new_len = valid.sum(axis=1)
         out = []
         for lp in np.unique(new_len).tolist():
-            if lp == 0:
-                continue
             rows = new_len == lp
             # every row here keeps lp letters, read off in row-major order
             compact = emit[rows][valid[rows]].reshape(-1, lp)
@@ -384,7 +382,8 @@ class PackedEngine:
         """
         K = self.perms.shape[0]
         step = max(1, BATCH // K)
-        members, minima = [], []
+        empty = np.empty(0, dtype=U64)
+        members, minima = [empty], [empty]
         todo = keys
         while todo.size:
             W = unpack_keys(todo[::-(-todo.size // step)], l, self.b)
@@ -454,24 +453,23 @@ class PackedEngine:
     def connected_cutpoint_free_mask(self, W: np.ndarray) -> np.ndarray:
         """For each cyclically reduced row: is its Whitehead graph connected
         on all 2n vertices AND free of cutpoints?  (Basic-Lemma violations
-        for primitive inputs.)  Requires 2n <= 8.
+        for primitive inputs.)  Adjacency rows are uint16 bitmasks, wide
+        enough for every rank the engine packs.
         """
         n2 = 2 * self.n
-        if n2 > 8:
-            raise ValueError("bitmask predicate supports rank <= 4")
         N, l = W.shape
         u = W
         v = np.concatenate([W[:, 1:], W[:, :1]], axis=1) ^ 1
-        adj = np.zeros((N, n2), dtype=np.uint8)
+        adj = np.zeros((N, n2), dtype=np.uint16)
         rows = np.arange(N)
         for j in range(l):
-            np.bitwise_or.at(adj, (rows, u[:, j]), np.uint8(1) << v[:, j])
-            np.bitwise_or.at(adj, (rows, v[:, j]), np.uint8(1) << u[:, j])
-        full = np.uint8((1 << n2) - 1)
+            np.bitwise_or.at(adj, (rows, u[:, j]), np.uint16(1) << v[:, j])
+            np.bitwise_or.at(adj, (rows, v[:, j]), np.uint16(1) << u[:, j])
+        full = np.uint16((1 << n2) - 1)
 
         def closure(col: np.ndarray, start: np.ndarray) -> np.ndarray:
             # col[vtx] is the neighbour mask of vtx in every row; 0 - bit is
-            # 0xff where vtx is reached and 0 elsewhere, so no masked gather
+            # all ones where vtx is reached and 0 elsewhere, so no masked gather
             reach = start.copy()
             for _ in range(n2):
                 prev = reach.copy()
@@ -482,7 +480,7 @@ class PackedEngine:
             return reach
 
         col = np.ascontiguousarray(adj.T)
-        connected = closure(col, np.ones(N, dtype=np.uint8)) == full
+        connected = closure(col, np.ones(N, dtype=np.uint16)) == full
         result = np.zeros(N, dtype=bool)
         idx = np.nonzero(connected)[0]
         if idx.size == 0:
@@ -490,11 +488,11 @@ class PackedEngine:
         sub = col[:, idx]
         no_cut = np.ones(idx.shape[0], dtype=bool)
         for r in range(n2):
-            keep = np.uint8(((1 << n2) - 1) & ~(1 << r))
+            keep = np.uint16(((1 << n2) - 1) & ~(1 << r))
             colr = sub & keep
             colr[r] = 0
             s = 1 if r == 0 else 0
-            reach = closure(colr, np.full(idx.shape[0], np.uint8(1 << s)))
+            reach = closure(colr, np.full(idx.shape[0], np.uint16(1 << s)))
             no_cut &= (reach == keep)
         result[idx] = no_cut
         return result

@@ -34,7 +34,7 @@ from .freegroup import (
     format_word,
 )
 from .sl2 import TOL_PAR, GroupElement, Representation, generator_table, integer_entries
-from .whitehead import WhiteheadGraph, build_graph, cutpoints, is_connected, union
+from .whitehead import WhiteheadGraph, build_graph, connected_cutpoint_free, union
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -111,12 +111,6 @@ class TwistingPreconditionError(ValueError):
     """The twisting word fails its Whitehead-graph precondition."""
 
 
-def _connected_cutpoint_free(g: Word, gens: list[int]) -> bool:
-    verts = [v for i in gens for v in (i, -i)]
-    graph = build_graph([g], g.rank)
-    return is_connected(graph, verts) and not cutpoints(graph, verts)
-
-
 def _check_twisting_word(g: Word, distinguished: int) -> None:
     core, _ = cyclic_reduce(g)
     if core.letters != g.letters:
@@ -126,8 +120,8 @@ def _check_twisting_word(g: Word, distinguished: int) -> None:
     if any(abs(v) == distinguished for v in g.letters):
         raise TwistingPreconditionError(
             f"twisting word must avoid generator x{distinguished}")
-    others = [i for i in range(1, g.rank + 1) if i != distinguished]
-    if not _connected_cutpoint_free(g, others):
+    others = [v for i in range(1, g.rank + 1) if i != distinguished for v in (i, -i)]
+    if not connected_cutpoint_free(build_graph([g], g.rank), others):
         raise TwistingPreconditionError(
             "twisting word's Whitehead graph must be connected and cutpoint-free "
             "on the non-distinguished vertices")
@@ -204,15 +198,15 @@ def pair_graph_check(g1: Word, g2: Word) -> bool:
     n = g1.rank
     problems = []
     for label, g in (("g1", g1), ("g2", g2)):
-        support = sorted({abs(v) for v in g.letters})
-        if not _connected_cutpoint_free(g, support):
+        support = sorted({v for x in g.letters for v in (x, -x)})
+        if not connected_cutpoint_free(build_graph([g], n), support):
             problems.append(label)
     if problems:
         raise TwistingPreconditionError(
             f"precondition failed for {', '.join(problems)}: graph must be "
             "connected and cutpoint-free on its own letters' vertices")
     u = union(build_graph([g1], n), build_graph([g2], n))
-    return is_connected(u) and not cutpoints(u)
+    return connected_cutpoint_free(u)
 
 
 def _twists(m: int, punctures: list[ConjClass], g1: Word, g2: Word

@@ -133,11 +133,17 @@ def cutpoints(g: WhiteheadGraph, vertices: list[int] | None = None) -> set[int]:
     return out
 
 
+def connected_cutpoint_free(g: WhiteheadGraph, vertices: list[int] | None = None) -> bool:
+    """Is g connected and free of cutpoints over the full vertex set (or a
+    given subset)?  The scalar oracle of
+    PackedEngine.connected_cutpoint_free_mask."""
+    return is_connected(g, vertices) and not cutpoints(g, vertices)
+
+
 def basic_lemma_filter(w: Word) -> bool:
     """Necessary condition for primitivity: the Whitehead graph of w is
     disconnected or has a cutpoint.  False certifies non-primitivity."""
-    g = build_graph([w], w.rank)
-    return (not is_connected(g)) or bool(cutpoints(g))
+    return not connected_cutpoint_free(build_graph([w], w.rank))
 
 
 def whitehead_length_delta(w: Word, Y: frozenset[int], a: int) -> int:
@@ -161,10 +167,6 @@ def whitehead_length_delta(w: Word, Y: frozenset[int], a: int) -> int:
     return E - deg
 
 
-class PrimitivityBudgetError(RuntimeError):
-    """Raised when the descent budget is exhausted before a terminal word."""
-
-
 @dataclass
 class PrimitivityVerdict:
     primitive: bool
@@ -176,10 +178,11 @@ class PrimitivityVerdict:
         return "Primitive" if self.primitive else "NotPrimitive"
 
 
-def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
+def decide_primitive(w: Word) -> PrimitivityVerdict:
     """Whitehead's greedy descent: repeatedly apply the first automorphism
     that strictly reduces cyclic length.  Terminal length 1 means primitive;
-    otherwise the terminal word is Whitehead-minimal of length > 1.
+    otherwise the terminal word is Whitehead-minimal of length > 1.  Every
+    step shortens the word, so the chain has at most len(core) - 1 moves.
 
     First-kind automorphisms preserve cyclic length, so only second-kind
     moves are scanned for a strict reduction (in deterministic (a, Y) order).
@@ -195,12 +198,7 @@ def decide_primitive(w: Word, budget: int = 10_000) -> PrimitivityVerdict:
     rows = table.packed_rows
     letters = core.letters
     chain: list[FreeAutomorphism] = []
-    steps = 0
     while len(letters) > 1:
-        if steps >= budget:
-            raise PrimitivityBudgetError(
-                f"descent budget {budget} exhausted at cyclic length {len(letters)}")
-        steps += 1
         # one packed row per cyclic junction (c, d)
         total = sum(map(rows.__getitem__, zip(letters, letters[1:] + letters[:1])))
         m = table.first_shorter(total, len(letters))
@@ -240,25 +238,10 @@ def exponent_gcd(w: Word) -> int:
 
 # -- enumeration -----------------------------------------------------------
 
-# rows per block in iter_primitive_class_letters
-LETTERS_BLOCK = 100_000
-
-
 def primitive_class_keys(n: int, length_cap: int) -> dict[int, np.ndarray]:
     """Packed canonical keys of every primitive conjugacy class (up to
     inversion) of cyclic length <= length_cap, grouped by length."""
     return _engine.PackedEngine(n).primitive_class_keys(length_cap)
-
-
-def iter_primitive_class_letters(n: int, length_cap: int):
-    """Yield (length, letters_array) chunks covering every primitive class;
-    rows are nibble-encoded letters (_engine.decode_rows decodes them)."""
-    eng = _engine.PackedEngine(n)
-    keys = eng.primitive_class_keys(length_cap)
-    for l in sorted(keys):
-        arr = keys[l]
-        for lo in range(0, arr.shape[0], LETTERS_BLOCK):
-            yield l, _engine.unpack_keys(arr[lo:lo + LETTERS_BLOCK], l, eng.b)
 
 
 def primitive_class_count(n: int, length_cap: int) -> dict[int, int]:
@@ -268,12 +251,11 @@ def primitive_class_count(n: int, length_cap: int) -> dict[int, int]:
 def enumerate_primitive_classes(n: int, length_cap: int) -> set[ConjClass]:
     """The set of primitive conjugacy classes with ||c|| <= length_cap, up to
     inversion.  Materializes ConjClass objects; intended for desk scale
-    (use the streaming/count variants for multi-million-class sweeps).
+    (use the key/count variants for multi-million-class sweeps).
     """
-    out: set[ConjClass] = set()
-    for _, W in iter_primitive_class_letters(n, length_cap):
-        out.update(ConjClass(w) for w in _engine.decode_rows(W, n))
-    return out
+    b = _engine.bits_per_letter(n)
+    return {ConjClass(w) for l, keys in primitive_class_keys(n, length_cap).items()
+            for w in _engine.decode_rows(_engine.unpack_keys(keys, l, b), n)}
 
 
 @dataclass
@@ -296,15 +278,12 @@ def basic_lemma_sweep(n: int, length_cap: int) -> SweepReport:
     Whitehead graph, and rotating or inverting the cyclic word leaves the
     graph as it is.  A minimum that violates counts every class of its orbit.
     """
-    if n > 4:  # checked before the enumeration, whose cost grows with length_cap
-        raise ValueError("bitmask predicate supports rank <= 4")
     eng = _engine.PackedEngine(n)
     counts = {l: int(k.size) for l, k in sorted(eng.primitive_class_keys(length_cap).items())}
     violations = 0
     for l, minima in eng.orbit_minima.items():
         bad = minima[eng.connected_cutpoint_free_mask(_engine.unpack_keys(minima, l, eng.b))]
-        if bad.size:
-            violations += eng.orbit_keys(bad, l)[0].size
+        violations += eng.orbit_keys(bad, l)[0].size
     return SweepReport(n, length_cap, sum(counts.values()), violations, counts)
 
 

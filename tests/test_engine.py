@@ -220,7 +220,7 @@ class TestGraphPredicate:
         [flag] = _engine.PackedEngine(n).connected_cutpoint_free_mask(nib_row(w))
         assert bool(flag) == (not basic_lemma_filter(w))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_mask_matches_networkx(self, n):
         # a third of the rows use only the first k < n generators, so their
         # graphs miss the other 2(n - k) vertices; short rows miss their own
@@ -495,6 +495,11 @@ class TestOrbits:
                 translate_keys(members, len(w), eng.b, t), len(w), eng.b)
             assert np.isin(moved, members).all()
         assert reps[0] == members.min()
+
+    def test_no_keys_give_no_orbits(self):
+        members, reps = _engine.PackedEngine(3).orbit_keys(np.empty(0, dtype=np.uint64), 5)
+        assert members.dtype == reps.dtype == np.uint64
+        assert members.size == reps.size == 0
 
     @pytest.mark.parametrize("n,l,count", [(2, 7, 300), (3, 5, 1000), (4, 4, 200)])
     def test_gather_matches_per_permutation_loop(self, monkeypatch, n, l, count):

@@ -17,11 +17,11 @@ from autrep.freegroup import (
     whitehead_moves_second_kind,
 )
 from autrep.whitehead import (
-    PrimitivityBudgetError,
     WhiteheadGraph,
     basic_lemma_filter,
     basic_lemma_sweep,
     build_graph,
+    connected_cutpoint_free,
     cutpoints,
     decide_primitive,
     enumerate_primitive_classes,
@@ -144,6 +144,13 @@ class TestBasicLemmaFilter:
     def test_x1x2_passes(self):
         assert basic_lemma_filter(Word((1, 2), 2)) is True
 
+    def test_vertex_subset(self):
+        # x2 x3 x2^-1 x3^-1 in F3: a 4-cycle on the x2, x3 vertices that
+        # leaves x1 and x1^-1 isolated
+        g = build_graph([Word((2, 3, -2, -3), 3)], 3)
+        assert not connected_cutpoint_free(g)
+        assert connected_cutpoint_free(g, [2, -2, 3, -3])
+
 
 class TestLengthDelta:
     def test_matches_actual_application(self):
@@ -186,9 +193,23 @@ class TestDecidePrimitive:
         with pytest.raises(ValueError):
             decide_primitive(Word((), 2))
 
-    def test_budget_error_distinct(self):
-        with pytest.raises(PrimitivityBudgetError):
-            decide_primitive(Word((1, 2, 1, 2, 2), 2), budget=0)
+    def test_chain_is_shorter_than_core(self):
+        # every step shortens the word, so the input bounds the descent
+        # (random words, and primitive images of x1 under Nielsen moves)
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            if rng.random() < 0.5:
+                w = random_cyclic_word(rng, n, rng.randint(1, 40))
+            else:
+                w = Word((1,), n)
+                for aut in rng.choices(nielsen_generators(n), k=rng.randint(1, 30)):
+                    w = apply(aut, w)
+                w, _ = cyclic_reduce(w)
+            if not len(w):
+                continue
+            v = decide_primitive(w)
+            assert len(v.chain) <= len(w) - 1
 
     def test_chain_replays_for_all_small_primitives(self):
         for c in enumerate_primitive_classes(2, 5):
@@ -340,12 +361,28 @@ class TestEnumeration:
         # one predicate row per signed-permutation orbit
         assert sum(rows) == 6_484
 
-    def test_sweep_rejects_rank_5_before_enumerating(self, monkeypatch):
-        def enumerate_keys(self, length_cap):
-            raise AssertionError("enumerated before the rank check")
-        monkeypatch.setattr(_engine.PackedEngine, "primitive_class_keys", enumerate_keys)
-        with pytest.raises(ValueError, match="rank <= 4"):
-            basic_lemma_sweep(5, 7)
+    @pytest.mark.parametrize("n,cap,total", [(5, 7, 374_089), (6, 6, 159_520)])
+    def test_basic_lemma_sweep_ranks_5_and_6(self, n, cap, total):
+        rep = basic_lemma_sweep(n, cap)
+        assert rep.violations == 0
+        assert rep.total_classes == total
+
+    def test_descent_matches_membership_f5_le4(self):
+        # every reduced F5 word of length <= 4, as acceptance criterion 2
+        # checks F2 and F3
+        alphabet = [v for i in range(1, 6) for v in (i, -i)]
+        member = enumerate_primitive_classes(5, 4)
+        level = [(v,) for v in alphabet]
+        words = primitive = 0
+        for _ in range(4):
+            for letters in level:
+                w = Word(letters, 5)
+                verdict = decide_primitive(w).primitive
+                assert verdict == (ConjClass(w) in member), letters
+                words += 1
+                primitive += verdict
+            level = [w + (v,) for w in level for v in alphabet if v != -w[-1]]
+        assert (words, primitive, len(member)) == (8_200, 7_610, 905)
 
     def test_counts_match_enumeration(self):
         cnt = primitive_class_count(2, 6)
@@ -361,7 +398,7 @@ class TestEnumeration:
 class TestVectorizedPredicate:
     def test_matches_scalar_graph_route(self):
         rng = random.Random(11)
-        for n in (2, 3, 4):
+        for n in range(2, 8):
             eng = _engine.PackedEngine(n)
             words = [random_cyclic_word(rng, n, rng.randint(1, 9)) for _ in range(150)]
             words = [w for w in words if len(w)]
@@ -373,8 +410,7 @@ class TestVectorizedPredicate:
                              dtype=np.uint8)
                 got = eng.connected_cutpoint_free_mask(W)
                 for w, flag in zip(ws, got):
-                    g = build_graph([w], n)
-                    assert bool(flag) == (is_connected(g) and not cutpoints(g))
+                    assert bool(flag) == connected_cutpoint_free(build_graph([w], n))
 
 
 class TestDot:
