@@ -17,10 +17,11 @@ primitive class (see primitive_class_keys).  Discovered orbits are
 expanded eagerly and all member keys recorded, which keeps the scan
 frontier a few hundred times smaller than the class count.  Move images
 run as one apply_move call per chunk of at most BATCH (move, row) pairs,
-and orbit images as one gather over all signed permutations of at most
-BATCH images.  Each orbit is expanded about once, not once per candidate
-key: a batch is a strided pick from the candidates still to do, and the
-candidates it covers are dropped before the next.
+and orbit images as one gather over all K signed permutations of at most
+max(BATCH, K) images: one key's K images at ranks 6 and 7, where K =
+46,080 and 645,120.  Each orbit is expanded about once, not once per
+candidate key: a batch is a strided pick from the candidates still to do,
+and the candidates it covers are dropped before the next.
 
 The orbit minima the scan collects stay on the engine (orbit_minima), and
 basic_lemma_sweep runs the Whitehead-graph predicate on them alone, once
@@ -137,9 +138,6 @@ def invert_keys(keys: np.ndarray, l: int, b: int) -> np.ndarray:
 
 def canonical_keys(keys: np.ndarray, l: int, b: int) -> np.ndarray:
     """Least key over all rotations of the word and of its inverse."""
-    if l <= 1:
-        inv = invert_keys(keys, l, b) if l == 1 else keys
-        return np.minimum(keys, inv)
     mask = U64((1 << (b * l)) - 1)
     inv = invert_keys(keys, l, b)
     best = np.minimum(keys, inv)
@@ -375,10 +373,11 @@ class PackedEngine:
 
         Returns (all member keys, sorted unique; the orbit minima, sorted
         unique): one minimum per orbit met, not one per input key.  Keys are
-        expanded in batches of at most BATCH // K, each a strided pick from
-        the keys still to do, since keys of one orbit sit next to each other
-        in sorted order; after each batch the keys among its members are
-        dropped unexpanded, so each orbit is expanded about once.
+        expanded in batches of max(1, BATCH // K), at most max(BATCH, K)
+        images per gather (one key's K at ranks 6 and 7), each batch a
+        strided pick from the keys still to do, since keys of one orbit sit
+        next to each other in sorted order; after each batch the keys among
+        its members are dropped unexpanded, so each orbit is expanded about once.
         """
         K = self.perms.shape[0]
         step = max(1, BATCH // K)

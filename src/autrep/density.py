@@ -44,8 +44,11 @@ from .sl2 import (
     elements_to_obj,
     evaluate,
     generator_table,
+    mul,
+    opnorm,
     rotation_angle,
     span_rank,
+    sphere_products,
 )
 
 
@@ -91,16 +94,6 @@ def rational_angle_margin(theta: float, q_max: int = Q_MAX) -> float:
     return abs(x - round(x * q) / q)
 
 
-def opnorm(m: np.ndarray) -> float:
-    """Operator (spectral) norm of a 2x2 matrix.
-
-    Backed by SVD: the closed form in terms of the Frobenius norm and
-    determinant loses ~1e-9 absolute accuracy precisely when the singular
-    values coincide, which is the generic case for differences of nearby
-    unitaries."""
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False)[0])
-
-
 def _identity_distance(m: np.ndarray) -> float:
     """Operator-norm distance from a 2x2 matrix to the nearer of +-1."""
     eye = np.eye(2)
@@ -109,7 +102,8 @@ def _identity_distance(m: np.ndarray) -> float:
 
 def _noncommute(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entry of the commutator difference ab - ba."""
-    return float(np.abs(a @ b - b @ a).max())
+    p, q = a.ravel().tolist(), b.ravel().tolist()
+    return max(abs(x - y) for x, y in zip(mul(p, q), mul(q, p)))
 
 
 @dataclass
@@ -174,8 +168,8 @@ def _levels(table: np.ndarray, budget: SearchBudget, seed: int):
         if nib.shape[0] > per_length:
             idx = np.sort(rng.choice(nib.shape[0], size=per_length, replace=False))
             nib, parent = nib[idx], parent[idx]
-        # batched @ reproduces evaluate's left-to-right products bit for bit
-        mats = mats[parent] @ table[nib]
+        # the left-to-right products of evaluate, bit for bit
+        mats = sphere_products(mats, table, nib, parent)
         yield nib, parent, mats
 
 
@@ -190,8 +184,8 @@ def _common_eigenvector(mats: list[np.ndarray]) -> bool:
         v = vecs[:, j]
         ok = True
         for m in mats:
-            mv = m.astype(np.complex128) @ v
-            wedge = abs(mv[0] * v[1] - mv[1] * v[0])
+            (a, b), (c, d) = m.tolist()
+            wedge = abs((a * v[0] + b * v[1]) * v[1] - (c * v[0] + d * v[1]) * v[0])
             if wedge > TOL_PAR * max(1.0, float(np.abs(m).max())):
                 ok = False
                 break

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _engine
-from .density import DensityVerdict, SearchBudget, TimeCapError, certify_dense, opnorm
+from .density import DensityVerdict, SearchBudget, TimeCapError, certify_dense
 from .freegroup import (
     FreeAutomorphism,
     Word,
@@ -37,6 +37,10 @@ from .sl2 import (
     act,
     evaluate,
     generator_table,
+    mul,
+    opnorm,
+    opnorms,
+    sphere_products,
 )
 
 
@@ -302,35 +306,6 @@ def _su2_quat(batch: np.ndarray) -> np.ndarray:
                      batch[:, 0, 1].real, batch[:, 0, 1].imag], axis=1)
 
 
-def _sphere_products(mats: np.ndarray, table: np.ndarray, nib: np.ndarray,
-                     parent: np.ndarray) -> np.ndarray:
-    """np.einsum("bij,bjk->bik", mats[parent], table[nib]) bit for bit: every
-    parent times every table entry (as scalars), picked out in sphere_children's
-    parent-major order.  Complex products are split real, as einsum's loop forms
-    them (numpy's * and @ round otherwise); + 0.0 matches its sum's +0.0 start."""
-    pick = nib.astype(np.int64) * mats.shape[0] + parent
-    out = np.empty((pick.shape[0], 2, 2), dtype=mats.dtype)
-    split = mats.dtype.kind == "c"
-    planes = out.view(np.float64).reshape(-1, 2, 2, 2) if split else out[..., None]
-    # pr[i, j] is the column of parent entries (i, j); tr[:, j, k] the table's
-    pr, tr = mats.real.transpose(1, 2, 0).copy(), table.real[..., None]
-    if split:
-        pi, ti = mats.imag.transpose(1, 2, 0).copy(), table.imag[..., None]
-    for i in range(2):
-        for k in range(2):
-            if split:
-                re = ((pr[i, 0] * tr[:, 0, k] - pi[i, 0] * ti[:, 0, k])
-                      + (pr[i, 1] * tr[:, 1, k] - pi[i, 1] * ti[:, 1, k]))
-                im = ((pr[i, 0] * ti[:, 0, k] + pi[i, 0] * tr[:, 0, k])
-                      + (pr[i, 1] * ti[:, 1, k] + pi[i, 1] * tr[:, 1, k]))
-                planes[:, i, k, 1] = im.ravel()[pick]
-            else:
-                re = pr[i, 0] * tr[:, 0, k] + pr[i, 1] * tr[:, 1, k]
-            planes[:, i, k, 0] = re.ravel()[pick]
-    out += 0.0
-    return out
-
-
 def _quat_keys(batch: np.ndarray, resolution: float) -> np.ndarray:
     """Mixed 64-bit hash of each SU(2) matrix's quaternion discretized at
     resolution; a collision drops a point from a cover.  Collisions are not
@@ -367,7 +342,7 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
     for _ in range(max_level):
         child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
                                                     table.shape[0])
-        child = _sphere_products(mats, table, child_nib, parent)
+        child = sphere_products(mats, table, child_nib, parent)
         keys = _quat_keys(child, resolution)
         order = np.argsort(keys)
         sorted_keys = keys[order]
@@ -390,7 +365,7 @@ def _sphere_levels(table: np.ndarray, max_level: int, cap: int, resolution: floa
 
 def _uh_t_quats(mats: np.ndarray, tm: np.ndarray) -> np.ndarray:
     """Quaternions of u^-1 tm for unitary u in mats: the first rows of u^H tm,
-    conj(u00) t0k + conj(u10) t1k, in the arithmetic of _sphere_products."""
+    conj(u00) t0k + conj(u10) t1k, in the arithmetic of sl2.sphere_products."""
     col = mats[:, :, 0].T.copy()
     ur, ui = col.real, col.imag
     out = np.empty((4, mats.shape[0]))
@@ -465,24 +440,22 @@ def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
     best_u = int(np.argmin(dists))
     best_v = int(idxs[best_u])
     word = Word(word_at(best_u) + word_at(best_v), k)
-    claimed = opnorm(all_mats[best_u] @ all_mats[best_v] - tm)
+    uv = mul(all_mats[best_u].ravel().tolist(), all_mats[best_v].ravel().tolist())
+    claimed = opnorm(np.reshape(uv, (2, 2)) - tm)
     return ApproxResult(word, claimed, claimed < epsilon, nu * quats.shape[0])
-
-
-def _opnorms(batch: np.ndarray) -> np.ndarray:
-    """Operator norms of a (N, 2, 2) batch, closed form.
-
-    Search-ranking use only: carries ~1e-9 absolute noise when the two
-    singular values coincide; reported distances go through the stable
-    svd-backed opnorm instead."""
-    f2 = (np.abs(batch) ** 2).sum(axis=(1, 2))
-    det = batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0]
-    inner = np.maximum(f2 * f2 - 4.0 * np.abs(det) ** 2, 0.0)
-    return np.sqrt((f2 + np.sqrt(inner)) / 2.0)
 
 
 # matrices kept per level once a noncompact word sphere outgrows the budget
 BEAM_WIDTH = 512
+
+
+def _beam(child: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """The BEAM_WIDTH nearest children, nearest first (ties in index order),
+    less each one whose entries rounded to 3 decimals repeat a nearer one's."""
+    order = np.argsort(dists, kind="stable")
+    rounded = np.ascontiguousarray(np.round(child[order].reshape(-1, 4), 3))
+    _, first = np.unique(rounded.view([("", rounded.dtype)] * 4), return_index=True)
+    return order[np.sort(first)[:BEAM_WIDTH]]
 
 
 def approximate_element(S: Sequence[GroupElement], target: GroupElement,
@@ -523,10 +496,7 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     exhaust_cap = max(BEAM_WIDTH, min(budget.max_candidates, 2_000_000))
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (last_nib, parent) per level
     mats = np.eye(2, dtype=table.dtype)[None]
-    best_dist = d0
-    best_level = -1
-    best_index = 0
-    examined = 0
+    best_dist, best_level, best_index, examined = d0, -1, 0, 0
 
     t0 = time.monotonic()
     for _ in range(budget.max_word_length):
@@ -534,34 +504,21 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
             raise TimeCapError(budget.time_cap_s, examined)
         child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
                                                     table.shape[0])
-        child = _sphere_products(mats, table, child_nib, parent)
-        dists = _opnorms(child - tm)
+        child = sphere_products(mats, table, child_nib, parent)
+        dists = opnorms(child - tm)
         examined += child.shape[0]
         imin = int(np.argmin(dists))
         if dists[imin] < best_dist:
-            # the ranking norm carries ~1e-9 noise; pin the claim stably
-            best_dist = opnorm(child[imin] - tm)
-            best_level = len(levels)
-            best_index = imin
+            best_dist, best_level, best_index = float(dists[imin]), len(levels), imin
+        if best_dist >= epsilon and child.shape[0] > exhaust_cap:
+            keep = _beam(child, dists)
+            if best_level == len(levels):
+                best_index = 0  # the nearest candidate heads the beam
+            child_nib, parent, child = child_nib[keep], parent[keep], child[keep]
+        levels.append((child_nib, parent))
         if best_dist < epsilon:
-            levels.append((child_nib, parent))
             break
-        if child.shape[0] <= exhaust_cap:
-            levels.append((child_nib, parent))
-            mats = child
-            continue
-        # prune: nearest BEAM_WIDTH after matrix dedup at coarse resolution
-        order = np.argsort(dists, kind="stable")
-        rounded = np.round(child[order].reshape(-1, 4), 3)
-        view = np.ascontiguousarray(rounded).view([("", rounded.dtype)] * rounded.shape[1])
-        _, first = np.unique(view, return_index=True)
-        keep = order[np.sort(first)[: 4 * BEAM_WIDTH]]
-        keep = keep[np.argsort(dists[keep], kind="stable")][:BEAM_WIDTH]
-        levels.append((child_nib[keep], parent[keep]))
-        if best_level == len(levels) - 1:
-            # the nearest candidate always survives pruning; track its new slot
-            best_index = int(np.nonzero(keep == best_index)[0][0])
-        mats = child[keep]
+        mats = child
     if best_level < 0:
         return ApproxResult(Word.identity(k), d0, False, examined)
     word = Word(_engine.backtrack(levels, best_level, best_index), k, _checked=True)

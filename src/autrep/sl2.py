@@ -109,7 +109,8 @@ class GroupElement:
     def __matmul__(self, other: GroupElement) -> GroupElement:
         if self.field != other.field:
             raise ValueError("field tag mismatch")
-        return GroupElement(self.m @ other.m, self.field)
+        a, b, c, d = mul(self.m.ravel().tolist(), other.m.ravel().tolist())
+        return GroupElement([[a, b], [c, d]], self.field)
 
     __mul__ = __matmul__
 
@@ -199,6 +200,70 @@ def rotation_angle(g: GroupElement) -> float:
     return math.acos(max(-1.0, min(1.0, tr / 2.0)))
 
 
+# -- 2x2 products and norms: fixed-order formulas, no BLAS or LAPACK ---------
+
+
+def sphere_products(mats: np.ndarray, table: np.ndarray, nib: np.ndarray,
+                    parent: np.ndarray) -> np.ndarray:
+    """np.einsum("bij,bjk->bik", mats[parent], table[nib]) bit for bit: every
+    parent times every table entry (as scalars), picked out in sphere_children's
+    parent-major order.  Complex products are split real, as einsum's loop forms
+    them (numpy's * and @ round otherwise); + 0.0 matches its sum's +0.0 start."""
+    pick = nib.astype(np.int64) * mats.shape[0] + parent
+    out = np.empty((pick.shape[0], 2, 2), dtype=mats.dtype)
+    split = mats.dtype.kind == "c"
+    planes = out.view(np.float64).reshape(-1, 2, 2, 2) if split else out[..., None]
+    # pr[i, j] is the column of parent entries (i, j); tr[:, j, k] the table's
+    pr, tr = mats.real.transpose(1, 2, 0).copy(), table.real[..., None]
+    if split:
+        pi, ti = mats.imag.transpose(1, 2, 0).copy(), table.imag[..., None]
+    for i in range(2):
+        for k in range(2):
+            if split:
+                re = ((pr[i, 0] * tr[:, 0, k] - pi[i, 0] * ti[:, 0, k])
+                      + (pr[i, 1] * tr[:, 1, k] - pi[i, 1] * ti[:, 1, k]))
+                im = ((pr[i, 0] * ti[:, 0, k] + pi[i, 0] * tr[:, 0, k])
+                      + (pr[i, 1] * ti[:, 1, k] + pi[i, 1] * tr[:, 1, k]))
+                planes[:, i, k, 1] = im.ravel()[pick]
+            else:
+                re = pr[i, 0] * tr[:, 0, k] + pr[i, 1] * tr[:, 1, k]
+            planes[:, i, k, 0] = re.ravel()[pick]
+    out += 0.0
+    return out
+
+
+def mul(p: Sequence, q: Sequence) -> tuple:
+    """sphere_products' formula bit for bit on 4-tuples (a, b, c, d) of Python
+    floats, or of Python complexes, whose * and + CPython forms part by part."""
+    a, b, c, d = p
+    e, f, g, h = q
+    z = 0j if isinstance(a, complex) else 0.0  # 3.14's complex + 0.0 leaves the imag part
+    return a * e + b * g + z, a * f + b * h + z, c * e + d * g + z, c * f + d * h + z
+
+
+def _opnorm(a, b, c, d):
+    # sigma_1^2 = (p + q)/2 + sqrt(((p - q)/2)^2 + |r|^2), p, q, r the entries 11,
+    # 22, 12 of A^H A: no cancellation.  + - * / and sqrt on real and imaginary
+    # parts, one order for scalars and arrays; entries squared: 1e-150 to 1e150
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = ((x.real, x.imag) for x in (a, b, c, d))
+    p = (ar * ar + ai * ai) + (cr * cr + ci * ci)
+    q = (br * br + bi * bi) + (dr * dr + di * di)
+    rr = (ar * br + ai * bi) + (cr * dr + ci * di)
+    ri = (ar * bi - ai * br) + (cr * di - ci * dr)
+    h = (p - q) / 2.0
+    return np.sqrt((p + q) / 2.0 + np.sqrt(h * h + (rr * rr + ri * ri)))
+
+
+def opnorm(m) -> float:
+    """Operator (spectral) norm of a 2x2 matrix; the bits of opnorms."""
+    return float(_opnorm(*np.asarray(m).ravel().tolist()))
+
+
+def opnorms(batch: np.ndarray) -> np.ndarray:
+    """Operator norms of a (N, 2, 2) batch; the bits of opnorm."""
+    return _opnorm(*np.asarray(batch).reshape(-1, 4).T)
+
+
 # -- adjoint representation --------------------------------------------------
 
 # sl2 basis H, E, F; a traceless [[h, e], [f, -h]] has coordinates (h, e, f).
@@ -223,19 +288,13 @@ def adjoint(g: GroupElement) -> np.ndarray:
     are real/complex accordingly.  For su2 the basis spans su(2) and the
     matrix is real (a rotation).
     """
-    ginv = g.inverse()
-    if g.field == "su2":
-        cols = []
-        for b in _SU2_BASIS:
-            M = g.m @ b @ ginv.m
-            cols.append([M[0, 0].imag, M[0, 1].real, M[0, 1].imag])
-        return np.array(cols).T
+    su2 = g.field == "su2"
+    m, inv = g.m.ravel().tolist(), g.inverse().m.ravel().tolist()
     cols = []
-    for b in _SL2_BASIS:
-        M = g.m @ b @ ginv.m
-        cols.append([M[0, 0], M[0, 1], M[1, 0]])
-    A = np.array(cols).T
-    return A.real.copy() if g.field == "real" else A
+    for b in _SU2_BASIS if su2 else _SL2_BASIS:
+        h, e, f, _ = mul(mul(m, b.astype(g.m.dtype).ravel().tolist()), inv)
+        cols.append([h.imag, e.real, e.imag] if su2 else [h, e, f])
+    return np.array(cols).T
 
 
 def span_rank(rows: np.ndarray) -> int:
@@ -294,14 +353,15 @@ def generator_table(elements: Sequence[GroupElement]) -> np.ndarray:
 
 
 def evaluate(rep: Representation, w: Word) -> GroupElement:
-    """Product of generator images along the word."""
+    """Product of generator images along the word, by mul from the identity
+    letter by letter: the bits of sphere_products' levels over generator_table."""
     if w.rank != rep.rank:
         raise ValueError("rank mismatch")
-    out = np.eye(2, dtype=_dtype_for(rep.field))
+    table = generator_table(rep.images)
+    out, rows = np.eye(2, dtype=table.dtype).ravel().tolist(), table.reshape(-1, 4).tolist()
     for v in w.letters:
-        g = rep.images[abs(v) - 1]
-        out = out @ (g.m if v > 0 else g.inverse().m)
-    return GroupElement(out, rep.field)
+        out = mul(out, rows[2 * abs(v) - 2 + (v < 0)])
+    return GroupElement([out[:2], out[2:]], rep.field)
 
 
 def act(a: FreeAutomorphism, rep: Representation) -> Representation:
@@ -349,10 +409,9 @@ def h3_distance(p: H3Point, q: H3Point) -> float:
 
 def random_su2(rng: np.random.Generator) -> GroupElement:
     """Haar-uniform SU(2) via a uniform point of the unit 3-sphere."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    a = q[0] + 1j * q[1]
-    b = q[2] + 1j * q[3]
+    w, x, y, z = rng.normal(size=4).tolist()
+    s = math.sqrt(w * w + x * x + y * y + z * z)
+    a, b = complex(w / s, x / s), complex(y / s, z / s)
     return GroupElement(np.array([[a, b], [-b.conjugate(), a.conjugate()]]), "su2")
 
 

@@ -14,7 +14,6 @@ from autrep.density import (
     TimeCapError,
     _levels,
     certify_dense,
-    opnorm,
     rational_angle_margin,
     replay_certificate,
     strongly_redundant,
@@ -24,10 +23,13 @@ from autrep.nonmixing import build_fuchsian_4punctured, twisted_pair
 from autrep.sl2 import (
     DetDriftError,
     GroupElement,
+    _expm_traceless,
     Representation,
     ad_span_rank,
     evaluate,
     generator_table,
+    opnorm,
+    opnorms,
     random_element,
     random_su2,
 )
@@ -102,6 +104,15 @@ def _word_stream(k: int, budget: SearchBudget, seed: int):
                  if v != -w[-1]]
 
 
+# matrices with exact zero entries, of determinant 1 in floats
+_ZERO_ENTRY_GENS = {
+    "real": [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [-0.5, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
+             [[2.0, 0.0], [0.0, 0.5]], [[-1.0, 0.0], [3.0, -1.0]]],
+    "su2": [[[0.0, -1.0], [1.0, 0.0]], [[1j, 0.0], [0.0, -1j]], [[0.0, 1j], [1j, 0.0]],
+            [[0.6, 0.8j], [0.8j, 0.6]]],
+}
+
+
 class TestLevelStream:
     """The certificate search's level stream against a tuple-per-word
     reference: same words in the same order, and products equal to
@@ -115,10 +126,26 @@ class TestLevelStream:
     @example(k=3, seed=1, max_word_length=4, max_candidates=10, field_tag="complex")
     @example(k=2, seed=2, max_word_length=5, max_candidates=300, field_tag="su2")
     def test_matches_word_stream(self, k, seed, max_word_length, max_candidates, field_tag):
-        budget = SearchBudget(max_word_length, max_candidates)
         rng = np.random.default_rng(seed)
         S = [random_element(rng, field_tag) for _ in range(k)]
-        rep = Representation(S)
+        self._check(S, SearchBudget(max_word_length, max_candidates), seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), field_tag=st.sampled_from(["real", "complex", "su2"]),
+           seed=st.integers(0, 2**16), max_word_length=st.integers(1, 6))
+    def test_zero_entries_match_evaluate(self, data, field_tag, seed, max_word_length):
+        # generators with exact zero entries make products of signed zeros:
+        # the replay invariant holds on their bits too
+        pool = _ZERO_ENTRY_GENS["su2" if field_tag == "su2" else "real"]
+        if field_tag == "complex":
+            pool = pool + _ZERO_ENTRY_GENS["su2"]
+        S = [GroupElement(m, field_tag)
+             for m in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))]
+        self._check(S, SearchBudget(max_word_length, 300), seed)
+
+    @staticmethod
+    def _check(S, budget, seed):
+        k, rep = len(S), Representation(S)
         want = list(_word_stream(k, budget, seed))
         levels, got = [], []
         for nib, parent, mats in _levels(generator_table(S), budget, seed):
@@ -156,13 +183,44 @@ class TestRationalAngleMargin:
         assert rational_angle_margin(theta, q_max) == want
 
 
+def _norm_cases(rng):
+    """Real and complex matrices, differences of SU(2) pairs 1e-6 and 1e-12
+    apart, and matrices with equal singular values (multiples of unitaries)."""
+    real = rng.normal(size=(200, 2, 2))
+    cplx = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    out = [real, cplx, 1e-8 * cplx, 1e8 * real]
+    for gap in (1e-6, 1e-12):
+        u = np.array([random_su2(rng).m for _ in range(200)])
+        x = gap * rng.normal(size=(200, 3))
+        v = np.array([(GroupElement(u[i], "su2") @ GroupElement(_expm_traceless(
+            np.array([[1j * a, b + 1j * c], [-b + 1j * c, -1j * a]])), "su2")).m
+            for i, (a, b, c) in enumerate(x)])
+        out.append(u - v)
+    out.append(rng.normal(size=(200, 1, 1)) * np.array([random_su2(rng).m for _ in range(200)]))
+    out.append(rng.normal(size=(200, 1, 1)) * np.eye(2))
+    return out
+
+
 class TestOpnorm:
     def test_matches_svd(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            want = np.linalg.svd(m, compute_uv=False)[0]
-            assert abs(opnorm(m) - want) < 1e-10
+        # within 2e-15 relative of LAPACK's largest singular value
+        for batch in _norm_cases(np.random.default_rng(0)):
+            want = np.linalg.svd(batch, compute_uv=False)[:, 0]
+            got = opnorms(batch)
+            assert np.all(np.abs(got - want) <= 2e-15 * want)
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300]), min_size=8,
+                    max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_equals_batch(self, seed, entries):
+        special = np.array(entries[:4]) + 1j * np.array(entries[4:])
+        batches = _norm_cases(np.random.default_rng(seed)) + [
+            special.real.reshape(1, 2, 2), special.reshape(1, 2, 2)]
+        for batch in batches:
+            got = opnorms(batch)
+            want = np.array([opnorm(m) for m in batch])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestCertifyDense:

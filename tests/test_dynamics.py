@@ -7,10 +7,9 @@ import pytest
 import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from autrep import _engine, dynamics
-from autrep.density import SearchBudget, TimeCapError, opnorm, strongly_redundant
+from autrep.density import SearchBudget, TimeCapError, strongly_redundant
 from autrep.dynamics import (
     SteerStageError,
     WalkConfig,
@@ -33,11 +32,15 @@ from autrep.freegroup import Word
 from autrep.sl2 import (
     GroupElement,
     Representation,
+    _expm_traceless,
     act,
     evaluate,
     generator_table,
+    mul,
+    opnorm,
     random_element,
     random_su2,
+    sphere_products,
 )
 
 BUDGET = SearchBudget(max_word_length=40, max_candidates=200_000, time_cap_s=60.0)
@@ -366,8 +369,6 @@ class TestApproximateElement:
         target = random_su2(rng)
         res = approximate_element(S, target, 0.1, BUDGET)
         rep = Representation(S)
-        from autrep.sl2 import evaluate
-        from autrep.density import opnorm
         got = evaluate(rep, res.word)
         assert abs(opnorm(got.m - target.m) - res.distance) < 1e-12
 
@@ -401,8 +402,8 @@ class TestApproximateElement:
         S = self._free_sanov(field)
         rep = Representation(S)
         w = Word(letters, 2)
-        nudge = expm(np.array([[1e-3, 2e-3], [-1e-3, -1e-3]]))
-        target = GroupElement(evaluate(rep, w).m @ nudge, field)
+        nudge = GroupElement(_expm_traceless(np.array([[1e-3, 2e-3], [-1e-3, -1e-3]])), field)
+        target = evaluate(rep, w) @ nudge
         res = approximate_element(S, target, 1e-9, SearchBudget(8, 600, 60))
         assert not res.success and res.word == w
         assert res.distance == pytest.approx(opnorm(evaluate(rep, res.word).m - target.m),
@@ -449,7 +450,8 @@ _ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
 
 
 class TestSphereProductKernel:
-    """The split-real kernels against the einsum they replace, bit for bit."""
+    """The split-real kernels against the einsum they replace, and the scalar
+    twin sl2.mul against the batch kernel, bit for bit."""
 
     @staticmethod
     def _table(data, kind, k):
@@ -483,7 +485,7 @@ class TestSphereProductKernel:
                 keep = np.sort(np.random.default_rng(depth).choice(nib.shape[0], 1000, False))
                 nib, parent = nib[keep], parent[keep]
             want = np.einsum("bij,bjk->bik", mats[parent], table[nib])
-            got = dynamics._sphere_products(mats, table, nib, parent)
+            got = sphere_products(mats, table, nib, parent)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(_bits(got), _bits(want))
             mats = want
@@ -509,14 +511,58 @@ class TestSphereProductKernel:
         last = rng.integers(0, 6, size=4096).astype(np.int16)
         nib, parent = _engine.sphere_children(last, 6)
         want = np.einsum("bij,bjk->bik", mats[parent], table[nib])
-        assert np.array_equal(_bits(dynamics._sphere_products(mats, table, nib, parent)),
-                              _bits(want))
+        assert np.array_equal(_bits(sphere_products(mats, table, nib, parent)), _bits(want))
         want = np.einsum("bij,bjk->bik", parts[0][:4096][parent], parts[0][4096:][nib])
-        assert np.array_equal(_bits(dynamics._sphere_products(
+        assert np.array_equal(_bits(sphere_products(
             parts[0][:4096], parts[0][4096:], nib, parent)), _bits(want))
         want = np.einsum("nji,jk->nik", mats.conj(), table[0])[:, 0]
         assert np.array_equal(_bits(dynamics._uh_t_quats(mats, table[0])),
                               _bits(want.view(np.float64)))
+
+    @given(st.data(), st.sampled_from(["real", "complex", "su2"]), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_twin_equals_batch(self, data, kind, k):
+        # every parent times every table entry; the arbitrary entries of
+        # _table make signed zeros
+        table, mats = self._table(data, kind, k), self._table(data, kind, 2)
+        nib, parent = np.divmod(np.arange(table.shape[0] * mats.shape[0]), mats.shape[0])
+        got = sphere_products(mats, table, nib, parent)
+        for i, (j, p) in enumerate(zip(nib, parent)):
+            want = np.array(mul(mats[p].ravel().tolist(), table[j].ravel().tolist()))
+            assert want.dtype == got.dtype
+            assert np.array_equal(_bits(got[i].ravel()), _bits(want))
+
+
+def _old_beam(child, dists):
+    """The beam prune as two selections: a window of 4 * BEAM_WIDTH
+    deduplicated rows, then a second stable sort by distance."""
+    order = np.argsort(dists, kind="stable")
+    rounded = np.round(child[order].reshape(-1, 4), 3)
+    view = np.ascontiguousarray(rounded).view([("", rounded.dtype)] * rounded.shape[1])
+    _, first = np.unique(view, return_index=True)
+    keep = order[np.sort(first)[: 4 * dynamics.BEAM_WIDTH]]
+    return keep[np.argsort(dists[keep], kind="stable")][:dynamics.BEAM_WIDTH]
+
+
+class TestBeam:
+    @given(n=st.integers(1, 3000), distinct_rows=st.integers(1, 3000),
+           distinct_dists=st.integers(1, 3000), complex_=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_selection_equals_the_two_step_rule(self, n, distinct_rows, distinct_dists,
+                                                     complex_, seed):
+        # few distinct distances make ties, few distinct rows make rows that
+        # round alike
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(distinct_rows, 2, 2))
+        if complex_:
+            rows = rows + 1j * rng.normal(size=rows.shape)
+        child = rows[rng.integers(0, distinct_rows, n)] + 1e-6 * rng.normal(size=(n, 2, 2))
+        dists = rng.integers(0, distinct_dists, n) / 8.0
+        keep = dynamics._beam(child, dists)
+        assert np.array_equal(keep, _old_beam(child, dists))
+        # the nearest candidate (the first at the minimum) heads the beam
+        assert keep[0] == np.argmin(dists)
 
 
 def _quat_su2(w, x, y, z):
@@ -559,7 +605,7 @@ def _levels_with_np_unique(table, max_level, cap, resolution):
     for _ in range(max_level):
         child_nib, parent = _engine.sphere_children(levels[-1][0] if levels else None,
                                                     table.shape[0])
-        child = dynamics._sphere_products(mats, table, child_nib, parent)
+        child = sphere_products(mats, table, child_nib, parent)
         keys = dynamics._quat_keys(child, resolution)
         _, first = np.unique(keys, return_index=True)
         pos = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
@@ -593,15 +639,15 @@ class TestSphereDedup:
             assert np.array_equal(_bits(got), _bits(want))
 
 
-# sha256 of steer and approximate_element outputs, recorded before the
-# split-real kernels, the first-row meet and the unbalanced tree replaced
-# the einsum products and the balanced tree: any change to the arithmetic
-# or to the nearest-neighbour answers that moves a word shows here
-STEER_PIN = "1b8ffe21ddd4b2549ca7ab9390d444bcb461b7faf7238b74dcb97f18186940d1"
+# sha256 of steer and approximate_element outputs, recorded after every 2x2
+# product and norm in the numeric layer became sl2's written-out formulas:
+# they hold under any OpenBLAS core and SIMD level, and any change to the
+# arithmetic or to the nearest-neighbour answers that moves a word shows here
+STEER_PIN = "58e342a03e13138bf5e5119da9f87c029b1e9a67394709d3c567e0cadf99f621"
 APPROX_PINS = {
-    "su2": "5cf168b699a962eecc9e26fad1d55acb7f6c21cd91d920b29408f3c3469c75ba",
-    "real": "9bf55e00649488a87f80a0117803d07f43316f26f484ac2f2a170114e551314d",
-    "complex": "f988b20aec0c4444a03b532ff9183721719216025b398672dcda124f199ba22f",
+    "su2": "47bd7b24ee2d79e5dd2233662ecb0d778c0d12682f3d35c2c4148bcb26966a95",
+    "real": "06a8ef4d30757e396cb8c1bcc7b5655c34fe03308977fb0692cb982d2b76ab88",
+    "complex": "f4dc5d5aa7ec5b8a71595aac2fdbcc51678057020fdb382a0fa089cbde65608b",
 }
 PIN_BUDGET = SearchBudget(24, 20_000, 60.0)
 
@@ -632,8 +678,9 @@ class TestOutputPins:
                 letters = rng.choice([1, 2, -1, -2], size=int(rng.integers(3, 9)))
                 w = Word(tuple(int(v) for v in letters), 2)
                 a, b, c = 0.02 * rng.normal(size=3)
-                nudge = expm(np.array([[a, b], [c, -a]]))
-                targets.append(GroupElement(evaluate(Representation(S), w).m @ nudge, field))
+                # no scipy expm and no numpy @: both depend on the BLAS kernel
+                nudge = GroupElement(_expm_traceless(np.array([[a, b], [c, -a]])), field)
+                targets.append(evaluate(Representation(S), w) @ nudge)
             epsilon = 0.01
         h = hashlib.sha256()
         for target in targets:
