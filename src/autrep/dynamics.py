@@ -292,6 +292,7 @@ def ks_against_haar_traces(samples: Iterable[float]):
 
 @dataclass
 class ApproxResult:
+    """`examined`: candidates scored; for su2, every left factor times every sphere point."""
     word: Word
     distance: float
     success: bool
@@ -380,69 +381,79 @@ def _uh_t_quats(mats: np.ndarray, tm: np.ndarray) -> np.ndarray:
 # every MEET_SAMPLE_STRIDE-th left factor is queried first; its nearest
 # distance bounds the query over all left factors
 MEET_SAMPLE_STRIDE = 256
+# the meet's sphere holds at most this many points, whatever the budget
+MEET_SPHERE_CAP = 200_000
+
+
+class _SU2Cover:
+    """The meet's word sphere over one generating set, built once, queried per
+    target: a KD-tree over its quaternions, each left factor's first column
+    (u00, u10) and index in the tree's point order, parent links and level
+    starts; the level matrices are dropped before the tree is built."""
+
+    def __init__(self, S: Sequence[GroupElement], epsilon: float, budget: SearchBudget):
+        from scipy.spatial import cKDTree
+
+        self.rep, half = Representation(S), budget.max_word_length // 2
+        cap = max(2 * len(S) + 1, min(budget.max_candidates, MEET_SPHERE_CAP))
+        # cells scale with the tolerance: coarse cells merge the clusters near
+        # finite-order elements, so growth runs deep instead of filling the cap
+        resolution = max(epsilon / 8.0, 1e-5)
+        self.levels, mats = _sphere_levels(generator_table(S), budget.max_word_length - half,
+                                           cap, resolution)
+        # level j is points starts[j]:starts[j + 1], point 0 the empty word;
+        # the left factors (at most `half` letters) are whole levels: all
+        # points at even max_word_length, all but the deepest level at odd
+        self.starts = np.cumsum([1] + [m.shape[0] for m in mats])
+        nu = int(self.starts[min(half, len(self.levels))])
+        quats, cols = np.empty((self.starts[-1], 4)), np.empty((nu, 2, 1), np.complex128)
+        quats[0], cols[0] = (1.0, 0.0, 0.0, 0.0), ((1.0,), (0.0,))
+        for j, (lo, hi) in enumerate(zip(self.starts, self.starts[1:])):
+            quats[lo:hi], cols[lo:min(hi, nu)] = _su2_quat(mats[j]), mats[j][:nu - lo, :, :1]
+            mats[j] = None
+        # queries are exact on any tree shape, and this build is the cheapest;
+        # u -> u^-1 target is an isometry, so in the tree's point order
+        # consecutive queries visit nearby cells
+        self.tree = cKDTree(quats, balanced_tree=False, compact_nodes=False)
+        self.order = self.tree.indices[self.tree.indices < nu]
+        self.cols = cols[self.order]
+
+    def word_at(self, i: int) -> Word:
+        j = int(np.searchsorted(self.starts, i, side="right")) - 1
+        return Word(_engine.backtrack(self.levels, j, i - int(self.starts[j])), self.rep.rank)
+
+    def query(self, target: GroupElement, epsilon: float) -> ApproxResult:
+        """The best u*v: one nearest-neighbor query per u for u^-1 target,
+        bounded just above a strided sample's minimum.  No u at the minimum is
+        pruned and the lowest u index there is taken, so the result is the
+        unbounded query's.  The winners are re-evaluated from their words by
+        sl2.evaluate, the bits of sphere_products' levels."""
+        tm = target.m.astype(np.complex128)
+        uq = _uh_t_quats(self.cols, tm)
+        sample_min = float(self.tree.query(uq[::MEET_SAMPLE_STRIDE], k=1)[0].min())
+        # the bound is strict; an exact match (distance 0) queries unbounded
+        bound = sample_min * (1.0 + 1e-9) or np.inf
+        dists, idxs = self.tree.query(uq, k=1, distance_upper_bound=bound)
+        at_min = np.flatnonzero(dists == dists.min())
+        best = at_min[np.argmin(self.order[at_min])]
+        u, v = self.word_at(int(self.order[best])), self.word_at(int(idxs[best]))
+        uv = mul(*(evaluate(self.rep, w).m.ravel().tolist() for w in (u, v)))
+        claimed = opnorm(np.reshape(uv, (2, 2)) - tm)
+        return ApproxResult(Word(u.letters + v.letters, self.rep.rank), claimed,
+                            claimed < epsilon, self.order.size * self.tree.n)
 
 
 def _approximate_su2_meet(S: Sequence[GroupElement], target: GroupElement,
                           epsilon: float, budget: SearchBudget) -> ApproxResult:
-    """Meet-in-the-middle basic approximation for the compact field: any
-    product u*v with u, v in a word sphere is scored as the quaternion
-    distance from v to u^-1 target, found by one nearest-neighbor query per
-    u.  Covers |sphere|^2 candidate words at KD-tree cost.  Left factors
-    have at most max_word_length // 2 letters and right factors at most
-    max_word_length - max_word_length // 2, so the words reach the cap and
-    no word exceeds it.
-
-    Only the best (u, v) pair is used, so the query runs in two passes: the
-    strided sample of left factors gives a distance the true minimum cannot
-    exceed, and the query over all u is bounded just above it.  No u at the
-    minimum is pruned, so the pair, word, distance and `examined` are those
-    of the unbounded query."""
-    from scipy.spatial import cKDTree
-
+    """Meet-in-the-middle approximation for the compact field: one _SU2Cover, one query."""
     t0 = time.monotonic()
-    k = len(S)
-    table = generator_table(S)
-    depth = budget.max_word_length - budget.max_word_length // 2
-    cap = max(2 * k + 1, min(budget.max_candidates, 200_000))
-    # cell size scaled to the tolerance: coarse cells merge the clusters
-    # that generators near finite-order elements produce, letting the
-    # breadth-first growth run deep instead of saturating the budget
-    resolution = max(epsilon / 8.0, 1e-5)
-    levels, mats_levels = _sphere_levels(table, depth, cap, resolution)
+    cover = _SU2Cover(S, epsilon, budget)
     if time.monotonic() - t0 > budget.time_cap_s:
         raise TimeCapError(budget.time_cap_s, 0)
-    all_mats = np.concatenate([np.eye(2, dtype=np.complex128)[None]] + mats_levels)
-    # level j occupies all_mats[starts[j]:starts[j + 1]]; index 0 is the empty word
-    starts = np.cumsum([1] + [m.shape[0] for m in mats_levels])
-    # the left factors u, words of up to max_word_length // 2 letters: all
-    # points at even max_word_length, all but the deepest level at odd
-    nu = int(starts[min(budget.max_word_length // 2, len(levels))])
-
-    def word_at(i: int) -> tuple[int, ...]:
-        lev = int(np.searchsorted(starts, i, side="right")) - 1
-        return _engine.backtrack(levels, lev, i - int(starts[lev]))
-
-    quats = _su2_quat(all_mats)
-    # queries are exact on any tree shape; this build is the cheapest
-    tree = cKDTree(quats, balanced_tree=False, compact_nodes=False)
-    tm = target.m.astype(np.complex128)
-    uq = _uh_t_quats(all_mats[:nu], tm)
-    sample_min = float(tree.query(uq[::MEET_SAMPLE_STRIDE], k=1)[0].min())
-    # the bound is strict; an exact match (distance 0) queries unbounded
-    bound = sample_min * (1.0 + 1e-9) or np.inf
-    # u -> u^-1 target is an isometry: in the tree's point order,
-    # consecutive queries visit nearby cells
-    order = tree.indices[tree.indices < nu]
-    dists, idxs = np.empty(uq.shape[0]), np.empty(uq.shape[0], dtype=np.intp)
-    dists[order], idxs[order] = tree.query(uq[order], k=1, distance_upper_bound=bound)
+    res = cover.query(target, epsilon)
     if time.monotonic() - t0 > budget.time_cap_s:
-        raise TimeCapError(budget.time_cap_s, nu * quats.shape[0])
-    best_u = int(np.argmin(dists))
-    best_v = int(idxs[best_u])
-    word = Word(word_at(best_u) + word_at(best_v), k)
-    uv = mul(all_mats[best_u].ravel().tolist(), all_mats[best_v].ravel().tolist())
-    claimed = opnorm(np.reshape(uv, (2, 2)) - tm)
-    return ApproxResult(word, claimed, claimed < epsilon, nu * quats.shape[0])
+        raise TimeCapError(budget.time_cap_s, res.examined)
+    return res
 
 
 # matrices kept per level once a noncompact word sphere outgrows the budget
@@ -463,9 +474,9 @@ def approximate_element(S: Sequence[GroupElement], target: GroupElement,
     """Search over word spheres for a word w over S with
     ||w(S) - target|| < epsilon in operator norm.
 
-    Compact field: meet-in-the-middle over two word spheres; SU(2) elements
-    are unit quaternions and the operator norm is their Euclidean distance,
-    so one nearest-neighbor query per left factor scores every product.
+    Compact field: meet-in-the-middle over a word sphere of at most
+    min(max_candidates, MEET_SPHERE_CAP) points, SU(2) elements as unit quaternions
+    (Euclidean distance = operator norm), one nearest-neighbor query per left factor.
 
     Noncompact fields: spheres are explored exhaustively while they fit in
     the candidate budget (pruning low spheres starves coverage); deeper

@@ -226,9 +226,14 @@ def find_twisting_exponent(punctures: list[ConjClass], g1: Word, g2: Word) -> in
     """Smallest m for which both variants' twisted punctures have Whitehead
     graphs containing the respective twisting word's graph.  The value is a
     measured artifact output, not assumed."""
+    return _smallest_twist(punctures, g1, g2)[0]
+
+
+def _smallest_twist(punctures: list[ConjClass], g1: Word, g2: Word) -> tuple[int, tuple]:
     for m in range(1, M_MAX + 1):
-        if not _twists(m, punctures, g1, g2)[1]:
-            return m
+        twists = _twists(m, punctures, g1, g2)
+        if not twists[1]:
+            return m, twists
     raise ValueError(f"no twisting exponent <= {M_MAX} passes containment")
 
 
@@ -250,7 +255,11 @@ def twisted_pair(rho0: PuncturedSphereRep, m: int) -> TwistedPair:
     coordinate j is rho0 evaluated on phi_i^-1(x_j).  Parabolic conjugacy
     classes of rho_i are exactly the phi_i images of the punctures; their
     traces stay +-2 in exact integer arithmetic, which is checked."""
-    (phi1, phi2), bad = _twists(m, rho0.punctures, *TWISTING_WORDS)
+    return _twisted_pair(rho0, m, _twists(m, rho0.punctures, *TWISTING_WORDS))
+
+
+def _twisted_pair(rho0: PuncturedSphereRep, m: int, twists: tuple) -> TwistedPair:
+    (phi1, phi2), bad = twists
     if bad:
         raise TwistingPreconditionError(
             f"puncture containment fails at m={m} for {bad}; increase m")
@@ -776,9 +785,9 @@ def demo_pipeline(length_cap: int = 12, K: float = 50.0, window: int = 2,
     twisting words [x2,x3] and [x1,x3], smallest containment-passing twist
     exponent (unless given), twisted pair, and the PS^2 probe."""
     rho0 = build_fuchsian_4punctured()
-    if m is None:
-        m = find_twisting_exponent(rho0.punctures, *TWISTING_WORDS)
-    pair = twisted_pair(rho0, m)
+    m, twists = (_smallest_twist(rho0.punctures, *TWISTING_WORDS) if m is None
+                 else (m, _twists(m, rho0.punctures, *TWISTING_WORDS)))
+    pair = _twisted_pair(rho0, m, twists)
     report = ps2_probe(pair.rho1, pair.rho2, length_cap, K=K, window=window,
                        axis_check=axis_check)
     return report, pair, m

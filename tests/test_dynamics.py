@@ -758,6 +758,43 @@ class TestBoundedMeetQuery:
             assert bounded.examined == unbounded.examined
 
 
+class TestSU2Cover:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("budget", [SearchBudget(40, 50_000, 60.0),
+                                        SearchBudget(2, 2000, 60.0),
+                                        SearchBudget(7, 2000, 60.0)],
+                             ids=["large", "below-stride", "odd"])
+    def test_one_cover_serves_every_target(self, seed, budget):
+        rng = np.random.default_rng(200 + seed)
+        S = [random_su2(rng) for _ in range(2)]
+        targets = [random_su2(rng), random_su2(rng), GroupElement.identity("su2"),
+                   S[0], S[1].inverse()]
+        cover = dynamics._SU2Cover(S, 0.1, budget)
+        for target in targets:
+            got, fresh = cover.query(target, 0.1), _approximate_su2_meet(S, target, 0.1, budget)
+            assert got.word == fresh.word
+            assert got.distance == fresh.distance
+            assert got.success == fresh.success
+            assert got.examined == fresh.examined
+
+    def test_meet_peak_memory_per_cover_point(self):
+        # the peak is the sphere build's, about 178 B per point; a meet that
+        # holds the level matrices through the query reads about 240
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        S, target = [random_su2(rng) for _ in range(2)], random_su2(rng)
+        budget = SearchBudget(160, 50_000, 120.0)
+        points = dynamics._SU2Cover(S, 0.15, budget).tree.n
+        tracemalloc.start()
+        try:
+            _approximate_su2_meet(S, target, 0.15, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 230 * points, peak / points
+
+
 class TestSteer:
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.1])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):

@@ -746,6 +746,19 @@ class TestDemoPipeline:
         assert w1 in report.zero_ratio_examples_1
         assert report.check_ratio_axis_consistency() == 0
 
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_each_exponent_twisted_once(self, monkeypatch, m):
+        calls, twists = [], nonmixing._twists
+        monkeypatch.setattr(nonmixing, "_twists", lambda k, *a: calls.append(k) or twists(k, *a))
+        _, pair, got_m = demo_pipeline(4, m=m)
+        assert calls == ([1, 2] if m is None else [2])
+        want = twisted_pair(build_fuchsian_4punctured(), 2)
+        assert got_m == want.m == 2
+        assert (pair.phi1, pair.phi2) == (want.phi1, want.phi2)
+        assert (pair.int_images_1, pair.int_images_2) == (want.int_images_1, want.int_images_2)
+        assert pair.parabolic_classes_1 == want.parabolic_classes_1
+        assert pair.parabolic_classes_2 == want.parabolic_classes_2
+
 
 def artifact_digests(rpt, tmp_path):
     """sha256 of the eight columns in order, of the to_obj() JSON and of
