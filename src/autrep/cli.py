@@ -37,7 +37,9 @@ class RunManifest:
     finished_at: str | None = None
 
     def finish(self) -> dict:
-        self.finished_at = datetime.now(timezone.utc).isoformat()
+        """The manifest as a dict; finished_at is stamped on the first call."""
+        if self.finished_at is None:
+            self.finished_at = datetime.now(timezone.utc).isoformat()
         return {
             "subcommand": self.subcommand,
             "args": self.args,
@@ -295,9 +297,9 @@ def nonmixing_demo_cmd(length_cap, k_const, window, m_opt, no_axis_check, out, c
         m=m_opt)
     obj = report.to_obj()
     obj["twist_exponent"] = m
-    _emit(obj, manifest, out)
     if csv_path:
         report.write_csv(csv_path, report.rank, _manifest_line(manifest))
+    _emit(obj, manifest, out)
     click.echo(f"min over {report.total_classes} primitive classes (||c|| <= "
                f"{length_cap}) of max(l1/||c||, l2/||c||) = {report.min_max_ratio:.6f}; "
                f"zero-ratio witnesses: {report.zero_ratio_count_1} in slot 1, "
@@ -331,9 +333,9 @@ def ps2_probe_cmd(rho1_path, rho2_path, length_cap, k_const, window,
     rho2 = _load_rep(rho2_path)
     report = nonmixing_mod.ps2_probe(rho1, rho2, length_cap, K=k_const,
                                      window=window, axis_check=not no_axis_check)
-    _emit(report.to_obj(), manifest, out)
     if csv_path:
         report.write_csv(csv_path, report.rank, _manifest_line(manifest))
+    _emit(report.to_obj(), manifest, out)
     click.echo(f"min_max_ratio={report.min_max_ratio:.6f} over "
                f"{report.total_classes} classes")
     sys.exit(0)

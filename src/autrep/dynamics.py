@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _engine
+from . import _engine, jsonio
 from .density import DensityVerdict, SearchBudget, TimeCapError, certify_dense
 from .freegroup import (
     FreeAutomorphism,
@@ -221,25 +221,19 @@ def random_walk(rep: Representation, cfg: WalkConfig) -> WalkRun:
 
 def walk_to_csv(run: WalkRun, path: str, manifest_line: str | None = None) -> None:
     n = run.rank
-    cols = ["step"]
     is_real = run.field == "real"
-    for i in range(1, n + 1):
-        cols += [f"tr{i}"] if is_real else [f"tr{i}_re", f"tr{i}_im"]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            cols += [f"tr{i}{j}"] if is_real else [f"tr{i}{j}_re", f"tr{i}{j}_im"]
+    names = [f"tr{i}" for i in range(1, n + 1)]
+    names += [f"tr{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if not is_real:
+        names = [f"{c}_{part}" for c in names for part in ("re", "im")]
+    cols = [[str(s.step) for s in run.samples]]
+    for c in run.trace_matrix().T:
+        cols += [jsonio.format_column(x, "%.17g") for x in ((c,) if is_real else (c.real, c.imag))]
     with open(path, "w") as f:
         if manifest_line is not None:
             f.write(f"# {manifest_line}\n")
-        f.write(",".join(cols) + "\n")
-        for s in run.samples:
-            vals: list[str] = [str(s.step)]
-            for t in list(s.gen_traces) + list(s.pair_traces):
-                if is_real:
-                    vals.append(f"{t:.17g}")
-                else:
-                    vals += [f"{t.real:.17g}", f"{t.imag:.17g}"]
-            f.write(",".join(vals) + "\n")
+        f.write(",".join(["step", *names]) + "\n")
+        f.write("".join([",".join(row) + "\n" for row in zip(*cols)]))
 
 
 def commutator_trace(rep: Representation):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _engine
+from . import _engine, jsonio
 from .freegroup import (
     ConjClass,
     FreeAutomorphism,
@@ -378,7 +378,6 @@ class PS2Report:
             raise ValueError(f"rank {n} does not match the report's rank {self.rank}")
         r1, r2 = self.ratios()
         first = r1 >= r2  # max_ratio is the r1 text there, the r2 text elsewhere
-        g17, g6 = "{:.17g}".format, "{:.6g}".format
         with open(path, "w") as f:
             if manifest_line is not None:
                 f.write(f"# {manifest_line}\n")
@@ -386,15 +385,14 @@ class PS2Report:
                     "K_fit_1,K_fit_2\n")
             for lo, hi, l, W in _blocks(self.col_length, self.col_keys,
                                         _engine.bits_per_letter(n)):
-                # column by column over tolist(): Python floats format faster than numpy scalars
-                cols = [map(" ".join, _TOKEN_OF_NIB[W].tolist()), [str(l)] * (hi - lo)]
-                cols += [map(g17, c[lo:hi].tolist()) for c in (self.col_l1, self.col_l2)]
-                t1, t2 = (list(map(g17, c[lo:hi].tolist())) for c in (r1, r2))
-                cols += [t1, t2, [a if f else b
-                                  for a, b, f in zip(t1, t2, first[lo:hi].tolist())]]
-                cols += [map(str, c[lo:hi].astype(np.uint8).tolist())
-                         for c in (self.col_axis1, self.col_axis2)]
-                cols += [map(g6, c[lo:hi].tolist()) for c in (self.col_kfit1, self.col_kfit2)]
+                # one % pass per column; the few distinct axis and K_fit values once each
+                g17 = [jsonio.format_column(c[lo:hi], "%.17g")
+                       for c in (self.col_l1, self.col_l2, r1, r2)]
+                cols = [map(" ".join, _TOKEN_OF_NIB[W].tolist()), [str(l)] * (hi - lo), *g17,
+                        [a if f else b for a, b, f in zip(g17[2], g17[3], first[lo:hi].tolist())]]
+                cols += [jsonio.format_column(c[lo:hi], fmt, distinct=True)
+                         for c, fmt in ((self.col_axis1, "%d"), (self.col_axis2, "%d"),
+                                        (self.col_kfit1, "%.6g"), (self.col_kfit2, "%.6g"))]
                 f.write("".join([",".join(row) + "\n" for row in zip(*cols)]))
 
     def check_ratio_axis_consistency(self) -> int:

@@ -268,6 +268,17 @@ class TestNonmixingDemo:
         rows = csv.read_text().splitlines()
         assert len(rows) == 2 + obj["total_classes"]
 
+    def test_csv_and_json_carry_one_manifest(self, runner, tmp_path):
+        out, csv = tmp_path / "report.json", tmp_path / "rows.csv"
+        res = runner.invoke(main, ["nonmixing", "demo", "-L", "4",
+                                   "--out", str(out), "--csv", str(csv)])
+        assert res.exit_code == 0
+        first = csv.read_text().splitlines()[0]
+        assert first.startswith("# manifest: ")
+        manifest = jsonio.loads(out.read_text())["manifest"]
+        assert jsonio.loads(first.removeprefix("# manifest: ")) == manifest
+        assert manifest["finished_at"] >= manifest["started_at"]
+
 
 class TestPs2Probe:
     def test_probe_round_trip(self, runner, tmp_path):
@@ -284,6 +295,16 @@ class TestPs2Probe:
         obj = jsonio.loads(out.read_text())
         assert obj["min_max_ratio"] > 0
         assert obj["manifest"]["args"]["length_cap"] == 4
+
+    def test_csv_and_json_carry_one_manifest(self, runner, tmp_path):
+        rho = write_rep(tmp_path / "r.json", GOOD)
+        out, csv = tmp_path / "probe.json", tmp_path / "rows.csv"
+        res = runner.invoke(main, ["ps2", "probe", "--rho1", rho, "--rho2", rho, "-L", "3",
+                                   "--out", str(out), "--csv", str(csv)])
+        assert res.exit_code == 0
+        first = csv.read_text().splitlines()[0]
+        assert jsonio.loads(first.removeprefix("# manifest: ")) == \
+            jsonio.loads(out.read_text())["manifest"]
 
 
 NAN_REP = '{"field": "real", "rank": 2, "images": [[[NaN, 0], [0, 1]], [[1, 1], [0, 1]]]}'

@@ -102,6 +102,34 @@ class TestWalk:
         assert step0[0] == "0"
         assert float(step0[1]) == run.samples[0].gen_traces[0]
 
+    @staticmethod
+    def _per_sample_csv(run, path, manifest_line):
+        """The sample-at-a-time f-string writer that walk_to_csv replaced."""
+        n, is_real = run.rank, run.field == "real"
+        cols = ["step"]
+        for i in range(1, n + 1):
+            cols += [f"tr{i}"] if is_real else [f"tr{i}_re", f"tr{i}_im"]
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                cols += [f"tr{i}{j}"] if is_real else [f"tr{i}{j}_re", f"tr{i}{j}_im"]
+        with open(path, "w") as f:
+            f.write(f"# {manifest_line}\n")
+            f.write(",".join(cols) + "\n")
+            for s in run.samples:
+                vals = [str(s.step)]
+                for t in list(s.gen_traces) + list(s.pair_traces):
+                    vals += [f"{t:.17g}"] if is_real else [f"{t.real:.17g}", f"{t.imag:.17g}"]
+                f.write(",".join(vals) + "\n")
+
+    @pytest.mark.parametrize("field", ["real", "complex", "su2"])
+    def test_csv_bytes_equal_per_sample_writer(self, tmp_path, field):
+        rep, kw = _pin_walk_inputs(field)
+        run = random_walk(rep, WalkConfig(seed=61, **kw))
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        self._per_sample_csv(run, want, "manifest: {}")
+        walk_to_csv(run, str(got), "manifest: {}")
+        assert got.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("guard", ["overflow_guard", "det_guard"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_guards_must_be_finite_and_positive(self, guard, value):

@@ -490,6 +490,38 @@ class TestAxisChecks:
             assert P.shape == (4, 6 ** d0) and E.shape == (6 ** d0,)
 
 
+# nan, +-inf, +-0.0, the extreme subnormals and normals, and values on both
+# sides of the switch of %.6g and %.17g to exponent form
+EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 9.99999e-5, 1e-5,
+               999999.4, 999999.5, 1e6, 1e16, 99999999999999984.0, 1e17, 0.1, 1 / 3]
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True,
+                      width=64) | st.sampled_from(EDGE_FLOATS)
+
+
+class TestFormatColumn:
+    # arbitrary columns, and columns drawn from a pool of at most four values
+    # so that the distinct-value path gathers heavily repeated texts
+    @given(st.one_of(st.lists(ANY_FLOAT, max_size=60),
+                     st.lists(ANY_FLOAT, min_size=1, max_size=4).flatmap(
+                         lambda pool: st.lists(st.sampled_from(pool), max_size=300))))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_formatter_equals_format(self, values):
+        col = np.array(values, dtype=np.float64)
+        for spec in (".17g", ".6g"):
+            want = [f"{v:{spec}}" for v in values]
+            assert jsonio.format_column(col, "%" + spec) == want
+            assert jsonio.format_column(col, "%" + spec, distinct=True) == want
+            assert jsonio.format_column(col[::-1], "%" + spec, distinct=True) == want[::-1]
+
+    @given(st.lists(st.booleans(), max_size=50))
+    def test_bool_column_as_digits(self, values):
+        col = np.array(values, dtype=bool)
+        want = [str(int(v)) for v in values]
+        assert jsonio.format_column(col, "%d") == want
+        assert jsonio.format_column(col, "%d", distinct=True) == want
+
+
 class TestProbe:
     def test_diagonal_oracle(self):
         # diagonal rep with prime eigenvalues: translation length of a class
@@ -690,12 +722,19 @@ class TestProbe:
                         f"{rpt.col_kfit1[i]:.6g},{rpt.col_kfit2[i]:.6g}\n")
 
     # K = 5 mixes passing and failing axis checks; 97 rows puts block seams
-    # inside every length from 5 on, while 40,000 rows (like the default
-    # BLOCK_ROWS) exceed all 353 classes, so each length is one block
-    @pytest.mark.parametrize("K,block_rows", [(50.0, 40_000), (5.0, 97)])
-    def test_csv_bytes_equal_per_row_writer(self, tmp_path, monkeypatch, K, block_rows):
+    # inside every length from 5 on, 1 row makes every block a single row,
+    # while 40,000 rows (like the default BLOCK_ROWS) exceed all 353 classes,
+    # so each length is one block; without the axis check every K_fit is 0
+    @pytest.mark.parametrize("K,block_rows,axis_check", [
+        pytest.param(50.0, 40_000, True, id="50.0-40000"),
+        pytest.param(5.0, 97, True, id="5.0-97"),
+        pytest.param(5.0, 1, True, id="5.0-1"),
+        pytest.param(50.0, 40_000, False, id="50.0-40000-no_axis_check")])
+    def test_csv_bytes_equal_per_row_writer(self, tmp_path, monkeypatch, K, block_rows,
+                                            axis_check):
         pair = twisted_pair(build_fuchsian_4punctured(), 2)
-        rpt = ps2_probe(pair.rho1, pair.rho2, 5, K=K, window=2, axis_check=True)
+        rpt = ps2_probe(pair.rho1, pair.rho2, 5, K=K, window=2, axis_check=axis_check)
+        assert (np.unique(rpt.col_kfit1).size == 1) == (not axis_check)
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         self._per_row_csv(rpt, want, 3, "manifest: {}")
         monkeypatch.setattr(nonmixing, "BLOCK_ROWS", block_rows)
