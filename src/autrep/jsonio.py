@@ -20,12 +20,12 @@ def loads(text: str) -> Any:
     return json.loads(text)
 
 
-def format_column(col: np.ndarray, fmt: str, distinct: bool = False) -> list[str]:
-    """fmt % v for each v of the 1-d column, in one % pass.  %.17g and %.6g
-    give the text of format(v, ".17g") and format(v, ".6g"), nan, inf and
-    -0.0 included.  With distinct, each distinct bit pattern is formatted
-    once and its text gathered back: for columns of few values."""
-    if distinct:
-        bits, inv = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        return np.array(format_column(bits.view(col.dtype), fmt), dtype=object)[inv].tolist()
-    return (((fmt + "\n") * col.size) % tuple(col.tolist())).splitlines()
+def format_column(col: np.ndarray, fmt: str) -> list[str]:
+    """fmt % v for each v of the 1-d column.  Each distinct bit pattern is
+    formatted once, all in one % pass, and its text gathered back to its rows,
+    so a column of few values costs little more than its distinct values.
+    %.17g and %.6g give the text of format(v, ".17g") and format(v, ".6g"),
+    nan, inf and -0.0 included."""
+    bits, inv = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    texts = (((fmt + "\n") * bits.size) % tuple(bits.view(col.dtype).tolist())).splitlines()
+    return np.array(texts, dtype=object)[inv].tolist()

@@ -288,9 +288,10 @@ def _runs(col_length: np.ndarray) -> list[int]:
     return [0, *(np.flatnonzero(np.diff(col_length)) + 1).tolist(), col_length.size]
 
 
-def _blocks(col_length: np.ndarray, col_keys: np.ndarray, b: int):
-    """(lo, hi, l, nibble rows) per block of <= BLOCK_ROWS classes of length l."""
-    bounds = sorted({*_runs(col_length), *range(0, col_length.size, BLOCK_ROWS)})
+def _blocks(col_length: np.ndarray, col_keys: np.ndarray, b: int, rows: int | None = None):
+    """(lo, hi, l, nibble rows) per block of <= rows (default BLOCK_ROWS)
+    classes of length l."""
+    bounds = sorted({*_runs(col_length), *range(0, col_length.size, rows or BLOCK_ROWS)})
     for lo, hi in zip(bounds, bounds[1:]):
         l = int(col_length[lo])
         yield lo, hi, l, _engine.unpack_keys(col_keys[lo:hi], l, b)
@@ -383,14 +384,15 @@ class PS2Report:
                 f.write(f"# {manifest_line}\n")
             f.write("class,length,l1,l2,r1,r2,max_ratio,axis_pass_1,axis_pass_2,"
                     "K_fit_1,K_fit_2\n")
+            # blocks of at most 4096 rows bound the column texts held at once
             for lo, hi, l, W in _blocks(self.col_length, self.col_keys,
-                                        _engine.bits_per_letter(n)):
-                # one % pass per column; the few distinct axis and K_fit values once each
+                                        _engine.bits_per_letter(n), min(BLOCK_ROWS, 4096)):
+                # one % pass per column; max_ratio reuses the r1 and r2 texts
                 g17 = [jsonio.format_column(c[lo:hi], "%.17g")
                        for c in (self.col_l1, self.col_l2, r1, r2)]
                 cols = [map(" ".join, _TOKEN_OF_NIB[W].tolist()), [str(l)] * (hi - lo), *g17,
                         [a if f else b for a, b, f in zip(g17[2], g17[3], first[lo:hi].tolist())]]
-                cols += [jsonio.format_column(c[lo:hi], fmt, distinct=True)
+                cols += [jsonio.format_column(c[lo:hi], fmt)
                          for c, fmt in ((self.col_axis1, "%d"), (self.col_axis2, "%d"),
                                         (self.col_kfit1, "%.6g"), (self.col_kfit2, "%.6g"))]
                 f.write("".join([",".join(row) + "\n" for row in zip(*cols)]))

@@ -500,8 +500,10 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True,
 
 
 class TestFormatColumn:
-    # arbitrary columns, and columns drawn from a pool of at most four values
-    # so that the distinct-value path gathers heavily repeated texts
+    # arbitrary columns, and columns drawn from a pool of at most four values,
+    # heavily repeated like the axis and K_fit columns, whose texts are
+    # gathered from one text per distinct value; the reversed column is a
+    # strided view, as the walk writer's real and imaginary parts are
     @given(st.one_of(st.lists(ANY_FLOAT, max_size=60),
                      st.lists(ANY_FLOAT, min_size=1, max_size=4).flatmap(
                          lambda pool: st.lists(st.sampled_from(pool), max_size=300))))
@@ -511,15 +513,13 @@ class TestFormatColumn:
         for spec in (".17g", ".6g"):
             want = [f"{v:{spec}}" for v in values]
             assert jsonio.format_column(col, "%" + spec) == want
-            assert jsonio.format_column(col, "%" + spec, distinct=True) == want
-            assert jsonio.format_column(col[::-1], "%" + spec, distinct=True) == want[::-1]
+            assert jsonio.format_column(col[::-1], "%" + spec) == want[::-1]
 
     @given(st.lists(st.booleans(), max_size=50))
     def test_bool_column_as_digits(self, values):
         col = np.array(values, dtype=bool)
         want = [str(int(v)) for v in values]
         assert jsonio.format_column(col, "%d") == want
-        assert jsonio.format_column(col, "%d", distinct=True) == want
 
 
 class TestProbe:
@@ -723,8 +723,9 @@ class TestProbe:
 
     # K = 5 mixes passing and failing axis checks; 97 rows puts block seams
     # inside every length from 5 on, 1 row makes every block a single row,
-    # while 40,000 rows (like the default BLOCK_ROWS) exceed all 353 classes,
-    # so each length is one block; without the axis check every K_fit is 0
+    # while 40,000 rows (the writer cuts its blocks to 4096) exceed all 353
+    # classes, so each length is one block; without the axis check every
+    # K_fit is 0
     @pytest.mark.parametrize("K,block_rows,axis_check", [
         pytest.param(50.0, 40_000, True, id="50.0-40000"),
         pytest.param(5.0, 97, True, id="5.0-97"),
