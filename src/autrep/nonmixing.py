@@ -29,7 +29,7 @@ from .freegroup import (
     FreeAutomorphism,
     Word,
     apply,
-    compose,
+    apply_letters,
     cyclic_reduce,
     format_word,
 )
@@ -130,8 +130,9 @@ def _check_twisting_word(g: Word, distinguished: int) -> None:
 def build_phi(m: int, variant: int, g: Word) -> FreeAutomorphism:
     """The twisting automorphism: with d the distinguished generator (x1 for
     variant 1, x2 for variant 2), d -> d g^m and x_i -> x_i d g^m for the
-    others.  Assembled as a composition of Nielsen moves, so its inverse
-    images are those of the moves composed in reverse.
+    others.  Its inverse sends x_i -> x_i d^-1 for the others and d ->
+    d h^-m, with h the word g after that substitution; the constructor
+    verifies that the two are two-sided inverses.
     """
     if m < 1:
         raise ValueError("twisting exponent m must be >= 1")
@@ -140,24 +141,14 @@ def build_phi(m: int, variant: int, g: Word) -> FreeAutomorphism:
     d = 1 if variant == 1 else 2
     _check_twisting_word(g, d)
     n = g.rank
-    gens = tuple(Word.generator(i, n) for i in range(1, n + 1))
-
-    def right_mult(i: int, v: int) -> FreeAutomorphism:
-        # x_i -> x_i x_v ; single Nielsen move
-        fwd = list(gens)
-        fwd[i - 1] = Word((i, v), n)
-        bwd = list(gens)
-        bwd[i - 1] = Word((i, -v), n)
-        return FreeAutomorphism(tuple(fwd), tuple(bwd), _checked=True)
-
-    tau = FreeAutomorphism.identity(n)
-    for v in (g ** m).letters:
-        tau = compose(tau, right_mult(d, v))
-    inner = FreeAutomorphism.identity(n)
-    for i in range(1, n + 1):
-        if i != d:
-            inner = compose(inner, right_mult(i, d))
-    return compose(tau, inner)
+    gm = g ** m
+    gens = [Word.generator(i, n) for i in range(1, n + 1)]
+    x_d = gens[d - 1]
+    images = [x_d * gm if x == x_d else x * x_d * gm for x in gens]
+    inverse_images = [x if x == x_d else x * x_d.inverse() for x in gens]
+    h_m = apply_letters(inverse_images, gm.letters, n)
+    inverse_images[d - 1] = x_d * h_m.inverse()
+    return FreeAutomorphism(images, inverse_images)
 
 
 @dataclass
@@ -226,14 +217,9 @@ def find_twisting_exponent(punctures: list[ConjClass], g1: Word, g2: Word) -> in
     """Smallest m for which both variants' twisted punctures have Whitehead
     graphs containing the respective twisting word's graph.  The value is a
     measured artifact output, not assumed."""
-    return _smallest_twist(punctures, g1, g2)[0]
-
-
-def _smallest_twist(punctures: list[ConjClass], g1: Word, g2: Word) -> tuple[int, tuple]:
     for m in range(1, M_MAX + 1):
-        twists = _twists(m, punctures, g1, g2)
-        if not twists[1]:
-            return m, twists
+        if not _twists(m, punctures, g1, g2)[1]:
+            return m
     raise ValueError(f"no twisting exponent <= {M_MAX} passes containment")
 
 
@@ -255,11 +241,7 @@ def twisted_pair(rho0: PuncturedSphereRep, m: int) -> TwistedPair:
     coordinate j is rho0 evaluated on phi_i^-1(x_j).  Parabolic conjugacy
     classes of rho_i are exactly the phi_i images of the punctures; their
     traces stay +-2 in exact integer arithmetic, which is checked."""
-    return _twisted_pair(rho0, m, _twists(m, rho0.punctures, *TWISTING_WORDS))
-
-
-def _twisted_pair(rho0: PuncturedSphereRep, m: int, twists: tuple) -> TwistedPair:
-    (phi1, phi2), bad = twists
+    (phi1, phi2), bad = _twists(m, rho0.punctures, *TWISTING_WORDS)
     if bad:
         raise TwistingPreconditionError(
             f"puncture containment fails at m={m} for {bad}; increase m")
@@ -588,9 +570,9 @@ def _step_verdicts(logX, delta, K: float) -> tuple[np.ndarray, np.ndarray]:
     """The interval test delta/K - K <= d <= K*delta + K over each column of
     logX (one row per offset s), and the column's largest fit
     max(d/(delta+1), (-d + sqrt(d^2 + 4 delta))/2), as if every entry had
-    been tested and fitted on its own.  logX is one (k, nb) array and delta
-    an int, or a list of such arrays and an array of their deltas, which
-    gives (len(delta), nb) results, row i for delta[i].
+    been tested and fitted on its own.  logX is a list of (k, nb) arrays and
+    delta an array of their deltas; the results are (len(delta), nb), row i
+    for delta[i].
 
     d is non-decreasing in log X, so the test holds for the column exactly
     when it holds at the column's min and max of log X, and the rising branch
@@ -602,9 +584,6 @@ def _step_verdicts(logX, delta, K: float) -> tuple[np.ndarray, np.ndarray]:
     lift it at a larger d by up to 2^-51 sqrt(d_max^2 + 4 delta); in the
     columns where it comes within four times that of the rising branch, it
     is taken over every entry."""
-    if np.ndim(delta) == 0:
-        good, fit = _step_verdicts([logX], np.array([delta]), K)
-        return good[0], fit[0]
     dl = np.asarray(delta, dtype=float)[:, None]
     ends = np.stack([x.min(axis=0) for x in logX] + [x.max(axis=0) for x in logX])
     d_min, d_max = np.split(_distances(ends), 2)
@@ -785,9 +764,9 @@ def demo_pipeline(length_cap: int = 12, K: float = 50.0, window: int = 2,
     twisting words [x2,x3] and [x1,x3], smallest containment-passing twist
     exponent (unless given), twisted pair, and the PS^2 probe."""
     rho0 = build_fuchsian_4punctured()
-    m, twists = (_smallest_twist(rho0.punctures, *TWISTING_WORDS) if m is None
-                 else (m, _twists(m, rho0.punctures, *TWISTING_WORDS)))
-    pair = _twisted_pair(rho0, m, twists)
+    if m is None:
+        m = find_twisting_exponent(rho0.punctures, *TWISTING_WORDS)
+    pair = twisted_pair(rho0, m)
     report = ps2_probe(pair.rho1, pair.rho2, length_cap, K=K, window=window,
                        axis_check=axis_check)
     return report, pair, m

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autrep import _engine, jsonio, nonmixing
-from autrep.freegroup import FreeAutomorphism, Word, apply, format_word, reduce
+from autrep.freegroup import FreeAutomorphism, Word, apply, compose, format_word, reduce
 from autrep.nonmixing import (
+    M_MAX,
+    TWISTING_WORDS,
     TwistingPreconditionError,
+    _check_twisting_word,
     _scaled_word_products,
     build_fuchsian_4punctured,
     build_phi,
@@ -77,6 +81,48 @@ class TestFuchsian:
             ["x1", "x2", "x3", "x1 x2 x3"]
 
 
+def nielsen_phi(m, variant, g):
+    """The twisting automorphism as a composition of Nielsen moves x_i ->
+    x_i x_v: one per letter v of g^m on the distinguished generator d, after
+    one x_i -> x_i d per other generator."""
+    d = 1 if variant == 1 else 2
+    n = g.rank
+    gens = tuple(Word.generator(i, n) for i in range(1, n + 1))
+
+    def right_mult(i, v):
+        fwd, bwd = list(gens), list(gens)
+        fwd[i - 1], bwd[i - 1] = Word((i, v), n), Word((i, -v), n)
+        return FreeAutomorphism(fwd, bwd)
+
+    phi = FreeAutomorphism.identity(n)
+    for v in (g ** m).letters:
+        phi = compose(phi, right_mult(d, v))
+    for i in range(1, n + 1):
+        if i != d:
+            phi = compose(phi, right_mult(i, d))
+    return phi
+
+
+def random_twisting_words(count, seed):
+    """(variant, g) for count random words, taking ranks 3, 4, 5 in turn,
+    that avoid the variant's distinguished generator and pass
+    _check_twisting_word; a word over the 2(n - 1) other letters has
+    2(n - 1) to 4(n - 1) letters."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, variant = 3 + len(out) % 3, int(rng.integers(1, 3))
+        letters = [v for i in range(1, n + 1) if i != variant for v in (i, -i)]
+        size = int(rng.integers(2 * (n - 1), 4 * (n - 1) + 1))
+        g = Word(rng.choice(letters, size=size).tolist(), n)
+        try:
+            _check_twisting_word(g, variant)
+        except TwistingPreconditionError:
+            continue
+        out.append((variant, g))
+    return out
+
+
 class TestBuildPhi:
     def test_variant1_images(self):
         phi = build_phi(1, 1, G1)
@@ -98,6 +144,23 @@ class TestBuildPhi:
     def test_m_power(self):
         phi = build_phi(3, 1, G1)
         assert len(phi.images[0]) == 1 + 3 * 4
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_equals_nielsen_composition(self, variant):
+        g = TWISTING_WORDS[variant - 1]
+        for m in range(1, M_MAX + 1):
+            phi, want = build_phi(m, variant, g), nielsen_phi(m, variant, g)
+            assert phi.images == want.images
+            assert phi.inverse_images == want.inverse_images
+
+    def test_random_words_equal_nielsen_composition(self):
+        words = random_twisting_words(24, seed=27)
+        assert {v for v, _ in words} == {1, 2}
+        for variant, g in words:
+            for m in (1, 2, 3):
+                phi, want = build_phi(m, variant, g), nielsen_phi(m, variant, g)
+                assert phi.images == want.images, (variant, g, m)
+                assert phi.inverse_images == want.inverse_images, (variant, g, m)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -433,10 +496,10 @@ class TestAxisChecks:
         # changes formula; "clamp" puts them around 0, where exp(log X) meets
         # the max(., 1) clamp.
         logX = verdict_entries(np.random.default_rng(seed), k, nb, where)
-        good, fit = nonmixing._step_verdicts(logX, delta, K)
+        good, fit = nonmixing._step_verdicts([logX], np.array([delta]), K)
         want_good, want_fit, _ = every_entry_verdicts(logX, delta, K)
-        assert np.array_equal(good, want_good)
-        assert fit.tobytes() == want_fit.tobytes()
+        assert np.array_equal(good[0], want_good)
+        assert fit[0].tobytes() == want_fit.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 6),
@@ -610,6 +673,27 @@ class TestProbe:
             h.update(rpt.col_l2.tobytes())
             assert rpt.total_classes == 4985
             assert h.hexdigest() == digest
+
+    def test_recheck_gives_exact_hyperbolic_length(self):
+        # forged float traces within 1e-3 of 2 at exponent 0: under the
+        # Fuchsian images x1 x2 has exact trace -6, so it gets the hyperbolic
+        # length of |t| = 6, and x1 exact trace 2, so it gets exactly 0
+        ints = build_fuchsian_4punctured().int_images
+        assert int_evaluate(ints, (1, 2)) == ((-7, 2), (-4, 1))
+        for letters, want in (((1, 2), 2.0 * math.log(3.0 + 2.0 * math.sqrt(2.0))),
+                              ((1,), 0.0)):
+            W = np.array([[_engine.nib_of_letter(v) for v in letters]], dtype=np.uint8)
+            lengths = np.array([1.0])
+            nonmixing._near_parabolic_recheck(lengths, np.array([2.0 + 5e-4]),
+                                              np.zeros(1, dtype=np.int64), W, ints)
+            assert lengths[0] == want, letters
+
+    def test_min_max_ratio_at_equals_smaller_caps(self):
+        pair = twisted_pair(build_fuchsian_4punctured(), 2)
+        rpt = ps2_probe(pair.rho1, pair.rho2, 7, axis_check=False)
+        for cap in range(1, 8):
+            want = ps2_probe(pair.rho1, pair.rho2, cap, axis_check=False).min_max_ratio
+            assert rpt.min_max_ratio_at(cap) == want, cap
 
     def test_axis_distances_match_mobius(self):
         # moderate-entry representation: the orbit-point reference route is
@@ -787,17 +871,26 @@ class TestDemoPipeline:
         assert report.check_ratio_axis_consistency() == 0
 
     @pytest.mark.parametrize("m", [None, 2])
-    def test_each_exponent_twisted_once(self, monkeypatch, m):
-        calls, twists = [], nonmixing._twists
-        monkeypatch.setattr(nonmixing, "_twists", lambda k, *a: calls.append(k) or twists(k, *a))
+    def test_runs_the_public_twist_functions(self, monkeypatch, m):
+        calls = []
+        for name in ("find_twisting_exponent", "twisted_pair"):
+            real = getattr(nonmixing, name)
+            monkeypatch.setattr(nonmixing, name, lambda *a, real=real, name=name:
+                                calls.append((name, a)) or real(*a))
         _, pair, got_m = demo_pipeline(4, m=m)
-        assert calls == ([1, 2] if m is None else [2])
-        want = twisted_pair(build_fuchsian_4punctured(), 2)
-        assert got_m == want.m == 2
-        assert (pair.phi1, pair.phi2) == (want.phi1, want.phi2)
-        assert (pair.int_images_1, pair.int_images_2) == (want.int_images_1, want.int_images_2)
-        assert pair.parabolic_classes_1 == want.parabolic_classes_1
-        assert pair.parabolic_classes_2 == want.parabolic_classes_2
+        assert [name for name, _ in calls] == (
+            ["find_twisting_exponent", "twisted_pair"] if m is None else ["twisted_pair"])
+        assert calls[-1][1][1] == got_m == 2
+        monkeypatch.undo()
+        rho0 = build_fuchsian_4punctured()
+        want = twisted_pair(rho0, find_twisting_exponent(rho0.punctures, *TWISTING_WORDS))
+        for f in dataclasses.fields(want):
+            got, exp = getattr(pair, f.name), getattr(want, f.name)
+            if isinstance(exp, Representation):
+                assert [g.m.tobytes() for g in got.images] == \
+                    [g.m.tobytes() for g in exp.images], f.name
+            else:
+                assert got == exp, f.name
 
 
 def artifact_digests(rpt, tmp_path):
