@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, jsonio
 from . import density as density_mod
@@ -24,7 +25,7 @@ from . import dynamics as dynamics_mod
 from . import nonmixing as nonmixing_mod
 from . import sl2
 from . import whitehead as whitehead_mod
-from .freegroup import format_word, parse_word
+from .freegroup import FreeAutomorphism, format_word, parse_word
 
 
 @dataclass
@@ -237,17 +238,20 @@ def walk_cmd(group, rank, steps, seed, stride, move_set, guard, rep_path, out):
     sys.exit(0)
 
 
-@main.command("steer")
-@click.option("--phi", "phi_path", type=click.Path(exists=True), required=True)
-@click.option("--psi", "psi_path", type=click.Path(exists=True), required=True)
+@main.group("steer", invoke_without_command=True, subcommand_metavar="[replay ...]")
+@click.option("--phi", "phi_path", type=click.Path(exists=True), default=None,
+              help="Start tuple (JSON); required unless a subcommand is given.")
+@click.option("--psi", "psi_path", type=click.Path(exists=True), default=None,
+              help="Target tuple (JSON); required unless a subcommand is given.")
 @click.option("--epsilon", type=float, default=0.15)
 @click.option("--seed", type=int, default=0)
 @click.option("--budget-word-length", type=int, default=20)
 @click.option("--budget-candidates", type=int, default=4000)
 @click.option("--budget-time", type=float, default=120.0)
 @click.option("--out", type=click.Path(), default=None)
+@click.pass_context
 @_errors_exit_2
-def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
+def steer_cmd(ctx, phi_path, psi_path, epsilon, seed, budget_word_length,
               budget_candidates, budget_time, out):
     """Steer one representation tuple toward another by an automorphism.
 
@@ -255,7 +259,19 @@ def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
     2: a stage's density prerequisite failed ('stage k: ...', k the
     coordinate being steered), --budget-time was hit, or the input was
     rejected (rank < 3 among them).
+
+    'autrep steer replay OUT.json --phi P --psi Q' re-checks a run's file.
     """
+    if ctx.invoked_subcommand is not None:
+        given = [p.opts[0] for p in ctx.command.params
+                 if ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"{', '.join(given)} given before "
+                                   f"'{ctx.invoked_subcommand}', which does not take them")
+        return
+    for name, path in (("--phi", phi_path), ("--psi", psi_path)):
+        if path is None:
+            raise click.UsageError(f"Missing option '{name}'.")
     manifest = RunManifest("steer", {"phi": phi_path, "psi": psi_path,
                                      "epsilon": epsilon,
                                      "budget_word_length": budget_word_length,
@@ -269,6 +285,52 @@ def steer_cmd(phi_path, psi_path, epsilon, seed, budget_word_length,
     obj["epsilon"] = epsilon
     _emit(obj, manifest, out)
     sys.exit(0 if result.success else 1)
+
+
+@steer_cmd.command("replay")
+@click.argument("out_path", type=click.Path(exists=True))
+@click.option("--phi", "phi_path", type=click.Path(exists=True), required=True)
+@click.option("--psi", "psi_path", type=click.Path(exists=True), required=True)
+@_errors_exit_2
+def steer_replay_cmd(out_path, phi_path, psi_path):
+    """Re-check a 'steer --out' file against the tuples it was run on.
+
+    The automorphism is rebuilt from images and inverse_images, which must
+    be two-sided inverses; it moves PHI, and each coordinate's distance to
+    PSI must be within 1e-9 of the recorded one, and success must be what
+    the recorded distances give at the recorded epsilon.
+
+    Exit code 0: verifies; 1: fails; 2: a malformed file or input.
+    """
+    phi, psi = _load_rep(phi_path), _load_rep(psi_path)
+    if phi.rank != psi.rank or phi.field != psi.field:
+        raise ValueError("representations must share rank and field")
+    with open(out_path) as f:
+        obj = jsonio.loads(f.read())
+    for key in ("images", "inverse_images", "distances", "epsilon", "success"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"steering file has no {key!r} field")
+    n = phi.rank
+    images, inverse_images = ([parse_word(t, n) for t in obj[key]]
+                              for key in ("images", "inverse_images"))
+    recorded = tuple(float(d) for d in obj["distances"])
+    if not len(images) == len(inverse_images) == len(recorded) == n:
+        raise ValueError(f"steering file must hold {n} images, inverse images and distances")
+    try:
+        auto = FreeAutomorphism(images, inverse_images)
+    except ValueError as e:  # counts and ranks hold, so the inverse check failed
+        failure = str(e)
+    else:
+        # replay_steer reads only the automorphism
+        replayed = dynamics_mod.replay_steer(
+            dynamics_mod.SteerResult(auto, recorded, [], obj["success"]), phi, psi)
+        failure = next((f"coordinate {i + 1}: distance {b!r}, recorded {a!r}"
+                        for i, (a, b) in enumerate(zip(recorded, replayed))
+                        if not abs(a - b) < 1e-9), None)
+        if failure is None and obj["success"] != all(d <= obj["epsilon"] for d in recorded):
+            failure = f"success {obj['success']} disagrees with the distances at epsilon"
+    click.echo("steering verifies" if failure is None else f"steering FAILS: {failure}")
+    sys.exit(0 if failure is None else 1)
 
 
 @main.group("nonmixing")

@@ -15,6 +15,7 @@ generate a dense subgroup at each stage.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -379,6 +380,14 @@ MEET_SAMPLE_STRIDE = 256
 MEET_SPHERE_CAP = 200_000
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, read per call: the affinity mask can
+    change while the process runs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _SU2Cover:
     """The meet's word sphere over one generating set, built once, queried per
     target: a KD-tree over its quaternions, each left factor's first column
@@ -421,13 +430,16 @@ class _SU2Cover:
         bounded just above a strided sample's minimum.  No u at the minimum is
         pruned and the lowest u index there is taken, so the result is the
         unbounded query's.  The winners are re-evaluated from their words by
-        sl2.evaluate, the bits of sphere_products' levels."""
+        sl2.evaluate, the bits of sphere_products' levels.  Both tree queries
+        run on every usable CPU; each point is answered on its own, so the
+        answer does not depend on how many there are."""
         tm = target.m.astype(np.complex128)
-        uq = _uh_t_quats(self.cols, tm)
-        sample_min = float(self.tree.query(uq[::MEET_SAMPLE_STRIDE], k=1)[0].min())
+        uq, workers = _uh_t_quats(self.cols, tm), _usable_cpus()
+        sample_min = float(self.tree.query(uq[::MEET_SAMPLE_STRIDE], k=1,
+                                           workers=workers)[0].min())
         # the bound is strict; an exact match (distance 0) queries unbounded
         bound = sample_min * (1.0 + 1e-9) or np.inf
-        dists, idxs = self.tree.query(uq, k=1, distance_upper_bound=bound)
+        dists, idxs = self.tree.query(uq, k=1, distance_upper_bound=bound, workers=workers)
         at_min = np.flatnonzero(dists == dists.min())
         best = at_min[np.argmin(self.order[at_min])]
         u, v = self.word_at(int(self.order[best])), self.word_at(int(idxs[best]))

@@ -214,6 +214,71 @@ class TestSteer:
         assert "error: steering needs rank >= 3" in res.output
 
 
+@pytest.fixture(scope="class")
+def steer_run(tmp_path_factory):
+    """A successful 'steer --out' run on a seeded SU(2) triple: the phi and
+    psi paths and the output file's object."""
+    tmp = tmp_path_factory.mktemp("steer")
+    rng = np.random.default_rng(8)
+    phi, psi = (write_rep(tmp / f"{name}.json",
+                          [sl2.random_su2(rng).m for _ in range(3)], "su2")
+                for name in ("phi", "psi"))
+    out = tmp / "steer.json"
+    res = CliRunner().invoke(main, ["steer", "--phi", phi, "--psi", psi, "--seed", "4",
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return phi, psi, jsonio.loads(out.read_text())
+
+
+def image_and_inverse_x1(obj):
+    # a two-sided inverse pair again, but not the automorphism that was run
+    obj["images"][0] = obj["inverse_images"][0] = "x1"
+
+
+CORRUPTIONS = {
+    "distance": lambda obj: obj["distances"].__setitem__(1, obj["distances"][1] + 1e-6),
+    "image-word": lambda obj: obj["images"].__setitem__(0, obj["images"][0] + " x2"),
+    "image-and-inverse": image_and_inverse_x1,
+    "success": lambda obj: obj.__setitem__("success", False),
+}
+
+
+class TestSteerReplay:
+    def replay(self, runner, steer_run, tmp_path, obj):
+        phi, psi, _ = steer_run
+        path = tmp_path / "replay.json"
+        path.write_text(jsonio.dumps(obj) if isinstance(obj, dict) else obj)
+        return runner.invoke(main, ["steer", "replay", str(path), "--phi", phi, "--psi", psi])
+
+    def test_steer_out_replays(self, runner, steer_run, tmp_path):
+        obj = steer_run[2]
+        assert obj["success"] is True and any(obj["images"][i] != f"x{i + 1}" for i in range(3))
+        res = self.replay(runner, steer_run, tmp_path, obj)
+        assert res.exit_code == 0, res.output
+        assert res.output == "steering verifies\n"
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_changed_field_fails(self, runner, steer_run, tmp_path, corrupt):
+        obj = json.loads(json.dumps(steer_run[2]))
+        corrupt(obj)
+        res = self.replay(runner, steer_run, tmp_path, obj)
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("steering FAILS: ")
+
+    def test_truncated_file_exits_two(self, runner, steer_run, tmp_path):
+        text = jsonio.dumps(steer_run[2])
+        res = self.replay(runner, steer_run, tmp_path, text[:len(text) // 2])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+
+    def test_phi_and_psi_swapped_fails(self, runner, steer_run, tmp_path):
+        phi, psi, obj = steer_run
+        path = tmp_path / "replay.json"
+        path.write_text(jsonio.dumps(obj))
+        res = runner.invoke(main, ["steer", "replay", str(path), "--phi", psi, "--psi", phi])
+        assert res.exit_code == 1
+
+
 def without_run_details(obj):
     """A run's JSON minus what may differ between runs with the same seed:
     the manifest timestamps and a density report's elapsed_s."""
@@ -334,6 +399,10 @@ ERROR_CASES = [
     ["ps2", "probe", "--rho1", "{good}", "--rho2", "{good}", "-L", "0"],
     ["walk", "--group", "real", "--guard", "nan"],
     ["steer", "--epsilon", "nan", "--phi", "{good}", "--psi", "{good}"],
+    ["steer", "--psi", "{good}"],
+    ["steer", "replay", "{good}", "--phi", "{good}", "--psi", "{good}"],
+    ["steer", "replay", "{cert}", "--phi", "{good}", "--psi", "{good}"],
+    ["steer", "--epsilon", "0.1", "replay", "{good}", "--phi", "{good}", "--psi", "{good}"],
     ["steer", "--budget-time", "nan", "--phi", "{good}", "--psi", "{good}"],
     ["density", "certify", "--rep", "{good}", "--budget-time", "nan"],
     ["nonmixing", "demo", "--window", "0", "-L", "4"],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -786,17 +787,41 @@ class TestBoundedMeetQuery:
             assert bounded.examined == unbounded.examined
 
 
+COVER_SEEDS = pytest.mark.parametrize("seed", range(2))
+COVER_BUDGETS = pytest.mark.parametrize("budget", [SearchBudget(40, 50_000, 60.0),
+                                                   SearchBudget(2, 2000, 60.0),
+                                                   SearchBudget(7, 2000, 60.0)],
+                                        ids=["large", "below-stride", "odd"])
+
+
+def cover_case(seed):
+    """Two SU(2) generators and five targets: two random, the identity, a
+    generator and another's inverse."""
+    rng = np.random.default_rng(200 + seed)
+    S = [random_su2(rng) for _ in range(2)]
+    return S, [random_su2(rng), random_su2(rng), GroupElement.identity("su2"),
+               S[0], S[1].inverse()]
+
+
+class WorkersSpy:
+    """A KD-tree that records the workers= of each query it answers."""
+
+    def __init__(self, tree):
+        self.tree, self.workers = tree, []
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def query(self, *args, **kwargs):
+        self.workers.append(kwargs["workers"])
+        return self.tree.query(*args, **kwargs)
+
+
 class TestSU2Cover:
-    @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("budget", [SearchBudget(40, 50_000, 60.0),
-                                        SearchBudget(2, 2000, 60.0),
-                                        SearchBudget(7, 2000, 60.0)],
-                             ids=["large", "below-stride", "odd"])
+    @COVER_SEEDS
+    @COVER_BUDGETS
     def test_one_cover_serves_every_target(self, seed, budget):
-        rng = np.random.default_rng(200 + seed)
-        S = [random_su2(rng) for _ in range(2)]
-        targets = [random_su2(rng), random_su2(rng), GroupElement.identity("su2"),
-                   S[0], S[1].inverse()]
+        S, targets = cover_case(seed)
         cover = dynamics._SU2Cover(S, 0.1, budget)
         for target in targets:
             got, fresh = cover.query(target, 0.1), _approximate_su2_meet(S, target, 0.1, budget)
@@ -804,6 +829,33 @@ class TestSU2Cover:
             assert got.distance == fresh.distance
             assert got.success == fresh.success
             assert got.examined == fresh.examined
+
+    @COVER_SEEDS
+    @COVER_BUDGETS
+    def test_answer_does_not_depend_on_worker_count(self, seed, budget, monkeypatch):
+        # both tree queries take one worker per CPU in the affinity mask, read
+        # at each query: a count fixed at import would pass the real mask's
+        # size after the patch
+        S, targets = cover_case(seed)
+        cover = dynamics._SU2Cover(S, 0.1, budget)
+        cover.tree = spy = WorkersSpy(cover.tree)
+        usable = len(os.sched_getaffinity(0))
+        every = [cover.query(target, 0.1) for target in targets]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = [cover.query(target, 0.1) for target in targets]
+        assert spy.workers == [usable] * 2 * len(targets) + [1] * 2 * len(targets)
+        for a, b in zip(every, one):
+            assert b.word == a.word
+            assert b.distance == a.distance
+            assert b.success == a.success
+            assert b.examined == a.examined
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert dynamics._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert dynamics._usable_cpus() == 1
 
     def test_meet_peak_memory_per_cover_point(self):
         # the peak is the sphere build's, about 178 B per point; a meet that
