@@ -11,6 +11,7 @@ wall clock never decides a result.
 from __future__ import annotations
 
 import functools
+import inspect
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -66,22 +67,42 @@ def _manifest_line(manifest: RunManifest) -> str:
     return "manifest: " + jsonio.dumps(manifest.finish())
 
 
-def _errors_exit_2(command):
-    """Turn any exception in a subcommand into 'error: ...' and exit code 2."""
+def _run(command):
+    """The one run path of every subcommand, and the module's one exit.
+
+    A command with a 'manifest' parameter is given a RunManifest of its own
+    click parameters: their names and values in declaration order, less
+    seed, out and csv, with --seed (or None) as the manifest's seed.  Any
+    exception prints 'error: ...' on stderr and exits 2; otherwise the
+    process exits with the code the command returns, and a group that
+    returns None hands on to its subcommand.
+    """
+    wants_manifest = "manifest" in inspect.signature(command).parameters
+
     @functools.wraps(command)
     def run(*args, **kwargs):
+        if wants_manifest:
+            ctx = c = click.get_current_context()
+            names = []  # the command's names below the root, as in 'density certify'
+            while c.parent is not None:
+                names.insert(0, c.info_name)
+                c = c.parent
+            params = {p.name: ctx.params[p.name] for p in ctx.command.params
+                      if p.name not in ("seed", "out", "csv")}
+            kwargs["manifest"] = RunManifest(" ".join(names), params, ctx.params.get("seed"))
         try:
-            return command(*args, **kwargs)
+            code = command(*args, **kwargs)
         except Exception as e:
             click.echo(f"error: {e}", err=True)
-            sys.exit(2)
+            code = 2
+        if code is not None:
+            sys.exit(code)
     return run
 
 
 def _load_rep(path: str) -> sl2.Representation:
     with open(path) as f:
-        obj = jsonio.loads(f.read())
-    return sl2.rep_from_obj(obj)
+        return sl2.rep_from_obj(jsonio.loads(f.read()))
 
 
 @click.group()
@@ -91,52 +112,46 @@ def main():
 
 
 @main.command("primitive")
-@click.argument("word_text")
+@click.argument("word")
 @click.option("--rank", type=int, required=True, help="Free-group rank n >= 2.")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
-@_errors_exit_2
-def primitive_cmd(word_text: str, rank: int, out: str | None):
+@_run
+def primitive_cmd(word: str, rank: int, out: str | None, manifest: RunManifest):
     """Decide primitivity of WORD (token syntax: 'x1 x2^-1').
 
     Exit code 0: primitive; 1: not primitive; 2: error.
     """
-    manifest = RunManifest("primitive", {"word": word_text, "rank": rank}, None)
-    w = parse_word(word_text, rank)
-    verdict = whitehead_mod.decide_primitive(w)
+    verdict = whitehead_mod.decide_primitive(parse_word(word, rank))
     obj = {
-        "word": word_text,
+        "word": word,
         "rank": rank,
         "status": verdict.status,
         "chain": [[format_word(im) for im in a.images] for a in verdict.chain],
         "terminal": format_word(verdict.terminal) if verdict.terminal else None,
     }
     _emit(obj, manifest, out)
-    sys.exit(0 if verdict.primitive else 1)
+    return 0 if verdict.primitive else 1
 
 
 @main.command("whgraph")
 @click.argument("words", nargs=-1)
 @click.option("--rank", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None, help="Write DOT here.")
-@_errors_exit_2
-def whgraph_cmd(words: tuple[str, ...], rank: int, out: str | None):
+@_run
+def whgraph_cmd(words: tuple[str, ...], rank: int, out: str | None, manifest: RunManifest):
     """Whitehead graph of WORDS: DOT plus a connectivity/cutpoint summary."""
-    manifest = RunManifest("whgraph", {"words": list(words), "rank": rank}, None)
-    ws = [parse_word(t, rank) for t in words]
-    g = whitehead_mod.build_graph(ws, rank)
+    g = whitehead_mod.build_graph([parse_word(t, rank) for t in words], rank)
     dot = whitehead_mod.to_dot(g)
     cut = sorted(whitehead_mod.cutpoints(g))
     summary = ("connected" if whitehead_mod.is_connected(g) else "disconnected") + \
         f", {len(cut)} cutpoints"
     if out:
         with open(out, "w") as f:
-            f.write(f"// {_manifest_line(manifest)}\n")
-            f.write(dot)
-        click.echo(summary)
+            f.write(f"// {_manifest_line(manifest)}\n{dot}")
     else:
         click.echo(dot, nl=False)
-        click.echo(summary)
-    sys.exit(0)
+    click.echo(summary)
+    return 0
 
 
 @main.group("density")
@@ -145,28 +160,23 @@ def density_group():
 
 
 @density_group.command("certify")
-@click.option("--rep", "rep_path", type=click.Path(exists=True), required=True,
+@click.option("--rep", type=click.Path(exists=True), required=True,
               help="JSON file with the generator tuple (representation format).")
 @click.option("--seed", type=int, default=0)
 @click.option("--budget-word-length", type=int, default=6)
 @click.option("--budget-candidates", type=int, default=2000)
 @click.option("--budget-time", type=float, default=60.0)
 @click.option("--out", type=click.Path(), default=None)
-@_errors_exit_2
-def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
-                        budget_time, out):
+@_run
+def density_certify_cmd(rep, seed, budget_word_length, budget_candidates,
+                        budget_time, out, manifest):
     """Certify density of the subgroup generated by the tuple.
 
     Exit code 0: dense (certificate emitted); 1: not certified; 2: error
     (a --budget-time stop included).
     """
-    manifest = RunManifest("density certify",
-                           {"rep": rep_path, "budget_word_length": budget_word_length,
-                            "budget_candidates": budget_candidates,
-                            "budget_time": budget_time}, seed)
-    rep = _load_rep(rep_path)
     budget = density_mod.SearchBudget(budget_word_length, budget_candidates, budget_time)
-    verdict = density_mod.certify_dense(list(rep.images), budget, seed)
+    verdict = density_mod.certify_dense(list(_load_rep(rep).images), budget, seed)
     obj = {
         "status": verdict.status,
         "reason": verdict.reason,
@@ -174,12 +184,12 @@ def density_certify_cmd(rep_path, seed, budget_word_length, budget_candidates,
         "certificate": verdict.certificate.to_obj() if verdict.certificate else None,
     }
     _emit(obj, manifest, out)
-    sys.exit(0 if verdict.dense else 1)
+    return 0 if verdict.dense else 1
 
 
 @density_group.command("replay")
 @click.argument("cert_path", type=click.Path(exists=True))
-@_errors_exit_2
+@_run
 def density_replay_cmd(cert_path):
     """Re-verify a certificate file independently of the run that made it.
 
@@ -191,57 +201,58 @@ def density_replay_cmd(cert_path):
     cert_obj = obj.get("certificate", obj)
     if cert_obj is None:
         raise ValueError(f"file holds no certificate (status {obj.get('status')})")
-    cert = density_mod.DensityCertificate.from_obj(cert_obj)
-    ok = density_mod.replay_certificate(cert)
+    ok = density_mod.replay_certificate(density_mod.DensityCertificate.from_obj(cert_obj))
     click.echo("certificate verifies" if ok else "certificate FAILS")
-    sys.exit(0 if ok else 1)
+    return 0 if ok else 1
 
 
 @main.command("walk")
 @click.option("--group", type=click.Choice(["su2", "real", "complex"]), default="su2")
-@click.option("--n", "rank", type=int, default=3)
+@click.option("--n", type=int, default=3)
 @click.option("--steps", type=int, default=100_000)
 @click.option("--seed", type=int, default=0)
 @click.option("--stride", type=int, default=25)
 @click.option("--move-set", type=click.Choice(["nielsen", "whitehead"]), default="nielsen")
 @click.option("--guard", type=float, default=1e12, help="Overflow restart guard.")
-@click.option("--rep", "rep_path", type=click.Path(exists=True), default=None,
-              help="Start tuple (JSON); default is seeded random.")
+@click.option("--rep", type=click.Path(exists=True), default=None,
+              help="Start tuple (JSON) of rank --n over --group; default is seeded random.")
 @click.option("--out", type=click.Path(), default=None, help="Write trace CSV here.")
-@_errors_exit_2
-def walk_cmd(group, rank, steps, seed, stride, move_set, guard, rep_path, out):
+@_run
+def walk_cmd(group, n, steps, seed, stride, move_set, guard, rep, out, manifest):
     """Product-replacement random walk; records generator and pair traces.
 
     For su2, prints the Kolmogorov-Smirnov statistic of the generator-trace
-    marginals against the Haar trace law.
+    marginals against the Haar trace law.  A --rep tuple whose rank or
+    field differs from --n or --group (defaults included) is an error.
     """
-    manifest = RunManifest("walk", {"group": group, "n": rank, "steps": steps,
-                                    "stride": stride, "move_set": move_set,
-                                    "guard": guard, "rep": rep_path}, seed)
-    if rep_path:
-        rep = _load_rep(rep_path)
+    if rep:
+        start = _load_rep(rep)
+        for option, value, what, own in (("--n", n, "rank", start.rank),
+                                         ("--group", group, "field", start.field)):
+            if value != own:
+                raise ValueError(f"{option} {value} differs from the --rep tuple's {what} {own}")
     else:
         rng = np.random.default_rng(seed)
-        rep = sl2.Representation([sl2.random_element(rng, group) for _ in range(rank)])
+        start = sl2.Representation([sl2.random_element(rng, group) for _ in range(n)])
     cfg = dynamics_mod.WalkConfig(steps=steps, seed=seed, move_set=move_set,
                                   record_stride=stride, overflow_guard=guard)
-    run = dynamics_mod.random_walk(rep, cfg)
+    run = dynamics_mod.random_walk(start, cfg)
     if out:
         dynamics_mod.walk_to_csv(run, out, _manifest_line(manifest))
     click.echo(f"samples={len(run.samples)} restarts={len(run.restarts)}")
-    if group == "su2":
+    if start.field == "su2":
         tm = run.trace_matrix().real
         burn = min(len(run.samples) // 5, 500)
-        pooled = np.concatenate([tm[burn:, i] for i in range(rank)])
+        pooled = np.concatenate([tm[burn:, i] for i in range(start.rank)])
         res = dynamics_mod.ks_against_haar_traces(pooled)
         click.echo(f"KS vs Haar trace law: stat={res.statistic:.5f} p={res.pvalue:.5f}")
-    sys.exit(0)
+    return 0
 
 
 @main.group("steer", invoke_without_command=True, subcommand_metavar="[replay ...]")
-@click.option("--phi", "phi_path", type=click.Path(exists=True), default=None,
+@click.option("--phi", type=click.Path(exists=True), default=None,
               help="Start tuple (JSON); required unless a subcommand is given.")
-@click.option("--psi", "psi_path", type=click.Path(exists=True), default=None,
+@click.option("--psi", type=click.Path(exists=True), default=None,
               help="Target tuple (JSON); required unless a subcommand is given.")
 @click.option("--epsilon", type=float, default=0.15)
 @click.option("--seed", type=int, default=0)
@@ -250,9 +261,9 @@ def walk_cmd(group, rank, steps, seed, stride, move_set, guard, rep_path, out):
 @click.option("--budget-time", type=float, default=120.0)
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
-@_errors_exit_2
-def steer_cmd(ctx, phi_path, psi_path, epsilon, seed, budget_word_length,
-              budget_candidates, budget_time, out):
+@_run
+def steer_cmd(ctx, phi, psi, epsilon, seed, budget_word_length,
+              budget_candidates, budget_time, out, manifest):
     """Steer one representation tuple toward another by an automorphism.
 
     Exit code 0: success at epsilon; 1: budget failure (partial result);
@@ -268,30 +279,23 @@ def steer_cmd(ctx, phi_path, psi_path, epsilon, seed, budget_word_length,
         if given:
             raise click.UsageError(f"{', '.join(given)} given before "
                                    f"'{ctx.invoked_subcommand}', which does not take them")
-        return
-    for name, path in (("--phi", phi_path), ("--psi", psi_path)):
+        return None
+    for name, path in (("--phi", phi), ("--psi", psi)):
         if path is None:
             raise click.UsageError(f"Missing option '{name}'.")
-    manifest = RunManifest("steer", {"phi": phi_path, "psi": psi_path,
-                                     "epsilon": epsilon,
-                                     "budget_word_length": budget_word_length,
-                                     "budget_candidates": budget_candidates,
-                                     "budget_time": budget_time}, seed)
-    phi = _load_rep(phi_path)
-    psi = _load_rep(psi_path)
     budget = density_mod.SearchBudget(budget_word_length, budget_candidates, budget_time)
-    result = dynamics_mod.steer(phi, psi, epsilon, budget, seed)
+    result = dynamics_mod.steer(_load_rep(phi), _load_rep(psi), epsilon, budget, seed)
     obj = result.to_obj()
     obj["epsilon"] = epsilon
     _emit(obj, manifest, out)
-    sys.exit(0 if result.success else 1)
+    return 0 if result.success else 1
 
 
 @steer_cmd.command("replay")
 @click.argument("out_path", type=click.Path(exists=True))
 @click.option("--phi", "phi_path", type=click.Path(exists=True), required=True)
 @click.option("--psi", "psi_path", type=click.Path(exists=True), required=True)
-@_errors_exit_2
+@_run
 def steer_replay_cmd(out_path, phi_path, psi_path):
     """Re-check a 'steer --out' file against the tuples it was run on.
 
@@ -330,7 +334,7 @@ def steer_replay_cmd(out_path, phi_path, psi_path):
         if failure is None and obj["success"] != all(d <= obj["epsilon"] for d in recorded):
             failure = f"success {obj['success']} disagrees with the distances at epsilon"
     click.echo("steering verifies" if failure is None else f"steering FAILS: {failure}")
-    sys.exit(0 if failure is None else 1)
+    return 0 if failure is None else 1
 
 
 @main.group("nonmixing")
@@ -340,33 +344,28 @@ def nonmixing_group():
 
 @nonmixing_group.command("demo")
 @click.option("--length-cap", "-L", type=int, default=12)
-@click.option("--k-const", "-K", type=float, default=50.0)
+@click.option("--k-const", "-K", "K", type=float, default=50.0)
 @click.option("--window", type=int, default=2)
-@click.option("--m", "m_opt", type=int, default=None,
+@click.option("--m", type=int, default=None,
               help="Twist exponent; default: smallest passing containment.")
-@click.option("--no-axis-check", is_flag=True, default=False)
+@click.option("--no-axis-check", "axis_check", flag_value=False, default=True)
 @click.option("--out", type=click.Path(), default=None, help="Summary JSON.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Per-class CSV rows.")
-@_errors_exit_2
-def nonmixing_demo_cmd(length_cap, k_const, window, m_opt, no_axis_check, out, csv_path):
+@click.option("--csv", type=click.Path(), default=None, help="Per-class CSV rows.")
+@_run
+def nonmixing_demo_cmd(length_cap, K, window, m, axis_check, out, csv, manifest):
     """Run the full pipeline and print the min-ratio summary line."""
-    manifest = RunManifest("nonmixing demo",
-                           {"length_cap": length_cap, "K": k_const, "window": window,
-                            "m": m_opt, "axis_check": not no_axis_check}, None)
-    report, pair, m = nonmixing_mod.demo_pipeline(
-        length_cap, K=k_const, window=window, axis_check=not no_axis_check,
-        m=m_opt)
+    report, _, m = nonmixing_mod.demo_pipeline(length_cap, K=K, window=window,
+                                               axis_check=axis_check, m=m)
     obj = report.to_obj()
     obj["twist_exponent"] = m
-    if csv_path:
-        report.write_csv(csv_path, report.rank, _manifest_line(manifest))
+    if csv:
+        report.write_csv(csv, report.rank, _manifest_line(manifest))
     _emit(obj, manifest, out)
     click.echo(f"min over {report.total_classes} primitive classes (||c|| <= "
                f"{length_cap}) of max(l1/||c||, l2/||c||) = {report.min_max_ratio:.6f}; "
                f"zero-ratio witnesses: {report.zero_ratio_count_1} in slot 1, "
                f"{report.zero_ratio_count_2} in slot 2")
-    sys.exit(0)
+    return 0
 
 
 @main.group("ps2")
@@ -375,32 +374,25 @@ def ps2_group():
 
 
 @ps2_group.command("probe")
-@click.option("--rho1", "rho1_path", type=click.Path(exists=True), required=True)
-@click.option("--rho2", "rho2_path", type=click.Path(exists=True), required=True)
+@click.option("--rho1", type=click.Path(exists=True), required=True)
+@click.option("--rho2", type=click.Path(exists=True), required=True)
 @click.option("--length-cap", "-L", type=int, default=8)
-@click.option("--k-const", "-K", type=float, default=50.0)
+@click.option("--k-const", "-K", "K", type=float, default=50.0)
 @click.option("--window", type=int, default=2)
-@click.option("--no-axis-check", is_flag=True, default=False)
+@click.option("--no-axis-check", "axis_check", flag_value=False, default=True)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--csv", "csv_path", type=click.Path(), default=None)
-@_errors_exit_2
-def ps2_probe_cmd(rho1_path, rho2_path, length_cap, k_const, window,
-                  no_axis_check, out, csv_path):
+@click.option("--csv", type=click.Path(), default=None)
+@_run
+def ps2_probe_cmd(rho1, rho2, length_cap, K, window, axis_check, out, csv, manifest):
     """Translation-length ratios and axis checks over all primitive classes."""
-    manifest = RunManifest("ps2 probe",
-                           {"rho1": rho1_path, "rho2": rho2_path,
-                            "length_cap": length_cap, "K": k_const,
-                            "window": window, "axis_check": not no_axis_check}, None)
-    rho1 = _load_rep(rho1_path)
-    rho2 = _load_rep(rho2_path)
-    report = nonmixing_mod.ps2_probe(rho1, rho2, length_cap, K=k_const,
-                                     window=window, axis_check=not no_axis_check)
-    if csv_path:
-        report.write_csv(csv_path, report.rank, _manifest_line(manifest))
+    report = nonmixing_mod.ps2_probe(_load_rep(rho1), _load_rep(rho2), length_cap, K=K,
+                                     window=window, axis_check=axis_check)
+    if csv:
+        report.write_csv(csv, report.rank, _manifest_line(manifest))
     _emit(report.to_obj(), manifest, out)
     click.echo(f"min_max_ratio={report.min_max_ratio:.6f} over "
                f"{report.total_classes} classes")
-    sys.exit(0)
+    return 0
 
 
 if __name__ == "__main__":

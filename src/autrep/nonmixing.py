@@ -232,8 +232,6 @@ class TwistedPair:
     m: int
     int_images_1: list[IntMatrix]
     int_images_2: list[IntMatrix]
-    parabolic_classes_1: list[ConjClass]
-    parabolic_classes_2: list[ConjClass]
 
 
 def twisted_pair(rho0: PuncturedSphereRep, m: int) -> TwistedPair:
@@ -248,18 +246,17 @@ def twisted_pair(rho0: PuncturedSphereRep, m: int) -> TwistedPair:
     out = []
     for phi in (phi1, phi2):
         ints = [int_evaluate(rho0.int_images, w.letters) for w in phi.inverse_images]
-        classes = [ConjClass(apply(phi, c.canonical)) for c in rho0.punctures]
-        for c0, c in zip(rho0.punctures, classes):
+        for c0 in rho0.punctures:
+            c = ConjClass(apply(phi, c0.canonical))
             tr_direct = int_evaluate(rho0.int_images, c0.canonical.letters)
             tr_twist = int_evaluate(ints, c.canonical.letters)
             t1 = tr_direct[0][0] + tr_direct[1][1]
             t2 = tr_twist[0][0] + tr_twist[1][1]
             if abs(t2) != 2 or abs(t1) != 2:
                 raise AssertionError("parabolicity lost through twisting")
-        out.append((ints, classes))
-    (ints1, cls1), (ints2, cls2) = out
-    return TwistedPair(_int_rep(ints1), _int_rep(ints2), phi1, phi2, m,
-                       ints1, ints2, cls1, cls2)
+        out.append(ints)
+    ints1, ints2 = out
+    return TwistedPair(_int_rep(ints1), _int_rep(ints2), phi1, phi2, m, ints1, ints2)
 
 
 # -- the PS^2 probe -----------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from autrep import jsonio, sl2
+from autrep import dynamics, jsonio, sl2
 from autrep.cli import main
 from autrep.density import DensityCertificate, replay_certificate
 
@@ -180,6 +180,40 @@ class TestWalk:
             assert res.exit_code == 0
         strip = lambda t: "\n".join(t.splitlines()[1:])
         assert strip(a.read_text()) == strip(b.read_text())
+
+    @pytest.mark.parametrize("options,message", [
+        ([], "--n 3 differs from the --rep tuple's rank 2"),
+        (["--n", "2"], "--group su2 differs from the --rep tuple's field real"),
+        (["--group", "real"], "--n 3 differs from the --rep tuple's rank 2"),
+        (["--n", "3", "--group", "real"], "--n 3 differs from the --rep tuple's rank 2"),
+        (["--n", "2", "--group", "complex"],
+         "--group complex differs from the --rep tuple's field real"),
+    ], ids=["defaults", "default-group", "default-n", "n", "group"])
+    def test_rep_must_match_n_and_group(self, runner, tmp_path, options, message):
+        rep = write_rep(tmp_path / "rep.json", GOOD[:2])
+        res = runner.invoke(main, ["walk", "--rep", rep, "--steps", "10"] + options)
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
+
+    def test_rep_pools_its_rank_columns(self, runner, tmp_path, monkeypatch):
+        # a rank-2 trace matrix has the pair-trace column tr12 after tr1 and
+        # tr2; the Haar test pools the generator columns only
+        pooled = []
+        real_ks = dynamics.ks_against_haar_traces
+        monkeypatch.setattr(dynamics, "ks_against_haar_traces",
+                            lambda x: pooled.append(x) or real_ks(x))
+        rng = np.random.default_rng(9)
+        rep = write_rep(tmp_path / "rep.json", [sl2.random_su2(rng).m for _ in range(2)], "su2")
+        out = tmp_path / "walk.csv"
+        res = runner.invoke(main, ["walk", "--rep", rep, "--n", "2", "--group", "su2",
+                                   "--steps", "200", "--stride", "5", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "KS vs Haar" in res.output
+        # the real parts of tr1, tr2 and tr12, after the step column
+        tm = np.loadtxt(out, delimiter=",", skiprows=2)[:, 1::2]
+        assert tm.shape == (41, 3)
+        burn = 41 // 5
+        assert np.array_equal(pooled[0], np.concatenate([tm[burn:, 0], tm[burn:, 1]]))
 
 
 class TestSteer:
@@ -372,11 +406,83 @@ class TestPs2Probe:
             jsonio.loads(out.read_text())["manifest"]
 
 
+def read_manifest(path):
+    """The manifest of a JSON artifact, or of a DOT or CSV file's first line."""
+    first = path.read_text().splitlines()[0]
+    for prefix in ("// manifest: ", "# manifest: "):
+        if first.startswith(prefix):
+            return jsonio.loads(first.removeprefix(prefix))
+    return jsonio.loads(path.read_text())["manifest"]
+
+
+# each subcommand that writes a manifest, its options given out of declaration
+# order, and the manifest's subcommand, seed and args, written out in full;
+# {rep}, {phi}, {psi}, {rho1}, {rho2}, {out} and {csv} are the test's files
+MANIFEST_CASES = {
+    "primitive": (["primitive", "--out", "{out}", "--rank", "2", "x1 x2"],
+                  "primitive", None, [("word", "x1 x2"), ("rank", 2)]),
+    "whgraph": (["whgraph", "--out", "{out}", "--rank", "2", "x1 x2", "x1 x2^-1"],
+                "whgraph", None, [("words", ["x1 x2", "x1 x2^-1"]), ("rank", 2)]),
+    "density certify": (
+        ["density", "certify", "--out", "{out}", "--budget-time", "30", "--seed", "5",
+         "--budget-candidates", "500", "--rep", "{rep}"],
+        "density certify", 5,
+        [("rep", "{rep}"), ("budget_word_length", 6), ("budget_candidates", 500),
+         ("budget_time", 30.0)]),
+    "walk": (["walk", "--out", "{out}", "--rep", "{rep}", "--guard", "1e6", "--stride", "5",
+              "--seed", "2", "--steps", "50", "--move-set", "whitehead", "--n", "2",
+              "--group", "real"],
+             "walk", 2,
+             [("group", "real"), ("n", 2), ("steps", 50), ("stride", 5),
+              ("move_set", "whitehead"), ("guard", 1e6), ("rep", "{rep}")]),
+    "steer": (["steer", "--out", "{out}", "--budget-time", "60", "--seed", "4",
+               "--epsilon", "0.2", "--psi", "{psi}", "--phi", "{phi}"],
+              "steer", 4,
+              [("phi", "{phi}"), ("psi", "{psi}"), ("epsilon", 0.2),
+               ("budget_word_length", 20), ("budget_candidates", 4000),
+               ("budget_time", 60.0)]),
+    "nonmixing demo": (
+        ["nonmixing", "demo", "--csv", "{csv}", "--no-axis-check", "--m", "2",
+         "--window", "3", "-K", "40", "--out", "{out}", "-L", "4"],
+        "nonmixing demo", None,
+        [("length_cap", 4), ("K", 40.0), ("window", 3), ("m", 2), ("axis_check", False)]),
+    "ps2 probe": (
+        ["ps2", "probe", "--csv", "{csv}", "--no-axis-check", "-K", "40", "-L", "3",
+         "--out", "{out}", "--rho2", "{rho2}", "--rho1", "{rho1}"],
+        "ps2 probe", None,
+        [("rho1", "{rho1}"), ("rho2", "{rho2}"), ("length_cap", 3), ("K", 40.0),
+         ("window", 2), ("axis_check", False)]),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv,subcommand,seed,args", MANIFEST_CASES.values(),
+                             ids=MANIFEST_CASES.keys())
+    def test_args_are_the_parameters(self, runner, tmp_path, argv, subcommand, seed, args):
+        c, s = math.cos(0.5), math.sin(0.5)
+        rng = np.random.default_rng(5)
+        su2 = [sl2.random_su2(rng).m for _ in range(3)]
+        files = {"rep": write_rep(tmp_path / "rep.json", [[[c, -s], [s, c]], [[2, 1], [1, 1]]]),
+                 "phi": write_rep(tmp_path / "phi.json", su2, "su2"),
+                 "psi": write_rep(tmp_path / "psi.json", su2, "su2"),
+                 "rho1": write_rep(tmp_path / "r1.json", GOOD),
+                 "rho2": write_rep(tmp_path / "r2.json", GOOD[::-1]),
+                 "out": str(tmp_path / "out"), "csv": str(tmp_path / "rows.csv")}
+        res = runner.invoke(main, [a.format(**files) for a in argv])
+        assert res.exit_code in (0, 1), res.output
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["subcommand"] == subcommand
+        assert manifest["seed"] == seed
+        assert list(manifest["args"].items()) == [
+            (k, v.format(**files) if isinstance(v, str) else v) for k, v in args]
+
+
 NAN_REP = '{"field": "real", "rank": 2, "images": [[[NaN, 0], [0, 1]], [[1, 1], [0, 1]]]}'
 GOOD = [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]]
 
 # one bad input per subcommand and kind: malformed words, bad rep files,
-# invalid budgets; {bad}, {good}, {cert} and {nocert} are files written by the test
+# invalid budgets; {bad}, {good}, {cert}, {nocert}, {rank2}, {su2} and {short}
+# are files written by the test
 ERROR_CASES = [
     ["primitive", "--rank", "2", "zork"],
     ["primitive", "--rank", "2", "x3"],
@@ -409,18 +515,26 @@ ERROR_CASES = [
     ["nonmixing", "demo", "-K", "0", "-L", "4"],
     ["nonmixing", "demo", "-K", "nan", "-L", "4"],
     ["ps2", "probe", "--window", "0", "--rho1", "{good}", "--rho2", "{good}", "-L", "3"],
+    ["steer", "replay", "--phi", "{good}", "--psi", "{rank2}", "{good}"],
+    ["steer", "replay", "--psi", "{su2}", "--phi", "{good}", "{good}"],
+    ["steer", "replay", "{short}", "--phi", "{good}", "--psi", "{good}"],
 ]
 
 
 class TestErrorPath:
     @pytest.mark.parametrize("args", ERROR_CASES, ids=lambda a: " ".join(a[:3]))
     def test_input_errors_exit_two(self, runner, tmp_path, args):
-        files = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json",
-                 "cert": tmp_path / "cert.json", "nocert": tmp_path / "nocert.json"}
+        files = {name: tmp_path / f"{name}.json"
+                 for name in ("bad", "good", "cert", "nocert", "rank2", "su2", "short")}
         files["bad"].write_text(NAN_REP)
         write_rep(files["good"], GOOD)
         files["cert"].write_text('{"certificate": {"field": "real"}}')
         files["nocert"].write_text('{"status": "unknown", "certificate": null}')
+        write_rep(files["rank2"], GOOD[:2])
+        write_rep(files["su2"], [np.eye(2)] * 3, "su2")
+        # two images where the tuples have rank 3
+        files["short"].write_text('{"images": ["x1", "x2"], "inverse_images": ["x1", "x2"], '
+                                  '"distances": [0, 0], "epsilon": 0.15, "success": true}')
         argv = [a.format(**{k: str(p) for k, p in files.items()}) for a in args]
         res = runner.invoke(main, argv)
         assert res.exit_code == 2, res.output

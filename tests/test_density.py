@@ -287,6 +287,8 @@ class TestCertifyDense:
         (dense_real_pair, "angle", "0.5"),
         (dense_real_pair, "q_max", "many"),
         (dense_real_pair, "word", 7),
+        (dense_real_pair, "word", "x2"),  # hyperbolic, not elliptic
+        (dense_real_pair, "kind", "zork"),
         (loxodromic_near_identity_pair, "companion_index", None),
         (loxodromic_near_identity_pair, "companion_index", 5),
         (loxodromic_near_identity_pair, "companion_index", [1]),

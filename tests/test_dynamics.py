@@ -137,6 +137,10 @@ class TestWalk:
         with pytest.raises(ValueError, match=guard):
             WalkConfig(steps=10, **{guard: value})
 
+    def test_unknown_move_set_rejected(self):
+        with pytest.raises(ValueError, match="move_set must be"):
+            WalkConfig(steps=10, move_set="x")
+
 
 def _oracle_step(mats, prog, is_su2):
     """The numpy step the scalar kernel replaced: 2x2 arrays multiplied with
@@ -458,6 +462,10 @@ class TestApproximateElement:
         S = [random_su2(rng) for _ in range(2)]
         with pytest.raises(ValueError, match="epsilon"):
             approximate_element(S, random_su2(rng), epsilon, BUDGET)
+
+    def test_empty_generating_set_rejected(self):
+        with pytest.raises(ValueError, match="S must be nonempty"):
+            approximate_element([], GroupElement.identity("su2"), 0.1, BUDGET)
 
     def test_target_field_must_match(self):
         # a complex target over real S would be cast to its real part
@@ -926,6 +934,14 @@ class TestSteer:
             steer(phi, psi, 0.15, budget, seed=2)
         assert ei.value.stage == 2
         assert ei.value.verdict.reason == "discrete-schottky-like"
+
+    @pytest.mark.parametrize("field,rank", [("su2", 4), ("real", 3)])
+    def test_mismatched_pair_rejected(self, field, rank):
+        rng = np.random.default_rng(24)
+        phi = Representation([random_su2(rng) for _ in range(3)])
+        psi = Representation([random_element(rng, field) for _ in range(rank)])
+        with pytest.raises(ValueError, match="must share rank and field"):
+            steer(phi, psi, 0.15, BUDGET)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rank_below_three_rejected(self, rank):

@@ -544,6 +544,10 @@ class TestOrbits:
         with pytest.raises(ValueError):
             _engine.PackedEngine(3).primitive_class_keys(25)
 
+    def test_rank_above_seven_rejected(self):
+        with pytest.raises(ValueError, match="rank <= 7"):
+            _engine.PackedEngine(8)
+
 
 class TestEnumeration:
     # sha256 of the keys, length by length: ranks 3-4 as the per-move

@@ -171,6 +171,10 @@ class TestBuildPhi:
             build_phi(1, 1, Word((2,), 3))  # graph on {x2,x3} vertices disconnected
         with pytest.raises(TwistingPreconditionError):
             build_phi(1, 2, G1)  # variant 2 must avoid x2
+        with pytest.raises(ValueError, match="variant must be 1 or 2"):
+            build_phi(1, 3, G1)
+        with pytest.raises(TwistingPreconditionError, match="nontrivial"):
+            build_phi(1, 1, Word((), 3))
 
 
 class TestContainment:
@@ -825,6 +829,16 @@ class TestProbe:
         monkeypatch.setattr(nonmixing, "BLOCK_ROWS", block_rows)
         rpt.write_csv(str(got), 3, "manifest: {}")
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("rho2", [
+        Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3)]),
+        Representation([GroupElement(np.diag([float(p), 1.0 / p]), "complex")
+                        for p in (2, 3, 5)]),
+    ], ids=["rank", "field"])
+    def test_rejects_a_mismatched_pair(self, rho2):
+        rep = Representation([GroupElement(np.diag([float(p), 1.0 / p])) for p in (2, 3, 5)])
+        with pytest.raises(ValueError, match="must share rank and field"):
+            ps2_probe(rep, rho2, 3)
 
     @pytest.mark.parametrize("window", [2.0, True, 0, "2"])
     def test_rejects_a_window_before_enumerating(self, monkeypatch, window):

@@ -396,6 +396,28 @@ class TestSerialization:
             rep_from_obj(jsonio.loads(text))
 
 
+# inputs the element, representation and JSON constructors reject, with the
+# cause each error names
+INPUT_ERRORS = {
+    "unknown-field": (lambda: GroupElement(np.eye(2), "quaternion"), "unknown field tag"),
+    "not-2x2": (lambda: GroupElement(np.eye(3)), "expected a 2x2 matrix"),
+    "no-images": (lambda: Representation([]), "at least one generator image"),
+    "mixed-fields": (lambda: Representation([GroupElement.identity(),
+                                             GroupElement.identity("su2")]),
+                     "mixed field tags"),
+    "wrong-rank": (lambda: rep_from_obj({"field": "real", "rank": 2,
+                                         "images": [[[1, 0], [0, 1]]]}),
+                   "rank field disagrees with image count"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("make,message", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
